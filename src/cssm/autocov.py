@@ -106,18 +106,11 @@ def sample_autocov(x, h: int) -> float:
     return _autocov(values, h)
 
 
-def circular_autocov(x, h: int) -> float:
-    """Lag-h autocovariance with the sum over all n starting points.
-
-    Terms that would reference observations beyond the end of the series
-    are dropped and the divisor stays n, so on a finite sample this is
-    numerically identical to :func:`sample_autocov`.  It is kept as a
-    separate entry point because the long-run variance estimator is
-    defined in terms of this variant.
-    """
-    values = as_timeseries(x).values
-    _check_lag(h, values.size)
-    return _autocov(values, h)
+# The lag-h autocovariance with the sum over all n starting points: terms
+# past the end of the series are dropped and the divisor stays n, so on a
+# finite sample it is exactly sample_autocov.  The long-run variance
+# estimator is defined in terms of this variant, hence the second name.
+circular_autocov = sample_autocov
 
 
 def _prefix_autocov_matrix(values: np.ndarray, L: int) -> np.ndarray:

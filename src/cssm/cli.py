@@ -30,11 +30,19 @@ def read_series(path) -> np.ndarray:
     Raises ValueError naming the offending 1-based line for anything that
     is not a finite number.
     """
-    values: list[float] = []
+    # Text mode folds "\r\n" and "\r" into "\n"; split on "\n" alone, as
+    # line iteration does (str.splitlines would also split on "\x0c" etc.).
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
+        lines = fh.read().split("\n")
+    data = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+    try:
+        values = np.fromiter(map(float, data), np.float64, count=len(data))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text or text[0] == "#":
                 continue
             try:
                 value = float(text)
@@ -42,10 +50,9 @@ def read_series(path) -> np.ndarray:
                 raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
             if not np.isfinite(value):
                 raise ValueError(f"{path}: line {lineno}: non-finite value: {text!r}")
-            values.append(value)
-    if not values:
+    if not data:
         raise ValueError(f"{path}: no data lines found")
-    return np.asarray(values, dtype=np.float64)
+    return values
 
 
 def write_series(values: np.ndarray, stream) -> None:

@@ -3,9 +3,10 @@
 Two routes to the (L+1) x (L+1) matrix whose (h, k) entry is the limit of
 ``n * Cov(gamma_hat_n(h), gamma_hat_n(k))``:
 
-* :func:`estimate_longrun_cov` -- model-free estimator built from empirical
-  fourth-moment averages over displacements up to ``h_n = floor(n**beta)``,
-  then eigenvalue-floored so the result is always safely invertible.
+* :func:`estimate_longrun_cov` -- model-free flat-kernel HAC estimate over the
+  lagged products ``P[i, h] = x_i x_{i+h}`` up to displacement ``h_n =
+  floor(n**beta)``, one BLAS product ``P[:n-lag].T @ P[lag:]`` per displacement
+  (O(n (L+1)^2 h_n) in all), eigenvalue-floored so it is safely invertible.
 * :func:`bartlett_linear` -- closed form for linear processes with known
   autocovariance function and innovation fourth-moment ratio eta.
 
@@ -61,9 +62,9 @@ class EstimatorConfig:
         Exponent of the displacement cutoff ``h_n = floor(n**beta)``;
         must lie in (0, 1/2).  Defaults to 0.3.
     eps_floor : float or None
-        Absolute eigenvalue floor applied after estimation.  None picks
-        ``1e-8 * trace / (L+1)`` per call, falling back to 1e-12 when the
-        raw matrix is identically zero.
+        Absolute eigenvalue floor applied after estimation.  None picks the
+        scale-following ``1e-8 * trace / (L+1)`` of the raw matrix per call,
+        or 1e-12 when that trace is not positive (e.g. an all-zero series).
     """
 
     beta: float = 0.3
@@ -92,28 +93,6 @@ def _min_usable_n(L: int, beta: float) -> int:
     return n
 
 
-def _sigma_bar(values: np.ndarray, h: int, k: int, lag: int,
-               g_h: float, g_k: float) -> float:
-    """Displacement-``lag`` covariance term for lags h <= k.
-
-    Averages the fourth-moment products over the indices where all four
-    factors exist (count m = n - lag - k), then scales by the number of
-    outer summands (n for lag 0, n - lag otherwise).
-    """
-    n = values.size
-    m = n - lag - k
-    if m < 1:
-        raise ValueError(
-            f"displacement {lag} leaves no complete products for (h={h}, k={k}, n={n})"
-        )
-    if lag == 0:
-        y = values[:m] ** 2 * values[h:h + m] * values[k:k + m]
-        return n * (float(y.mean()) - g_h * g_k)
-    y1 = values[:m] * values[h:h + m] * values[lag:lag + m] * values[lag + k:lag + k + m]
-    y2 = values[lag:lag + m] * values[lag + h:lag + h + m] * values[:m] * values[k:k + m]
-    return (n - lag) * (float((y1 + y2).mean()) - 2.0 * g_h * g_k)
-
-
 def sigma_bar(x, h: int, k: int, lag: int) -> float:
     """Empirical covariance-at-displacement term sigma_bar_{h,k}(lag).
 
@@ -132,14 +111,49 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
         raise ValueError(f"need 0 <= h <= k < n, got h={h}, k={k}, n={n}")
     if not 0 <= lag < n:
         raise ValueError(f"displacement must be in [0, {n - 1}], got {lag}")
-    return _sigma_bar(values, h, k, lag, _autocov(values, h), _autocov(values, k))
+    m = n - lag - k
+    if m < 1:
+        raise ValueError(f"displacement {lag} leaves no complete products "
+                         f"for (h={h}, k={k}, n={n})")
+    g_h, g_k = _autocov(values, h), _autocov(values, k)
+    if lag == 0:
+        y = values[:m] ** 2 * values[h:h + m] * values[k:k + m]
+        return n * (float(y.mean()) - g_h * g_k)
+    y1 = values[:m] * values[h:h + m] * values[lag:lag + m] * values[lag + k:lag + k + m]
+    y2 = values[lag:lag + m] * values[lag + h:lag + h + m] * values[:m] * values[k:k + m]
+    return (n - lag) * (float((y1 + y2).mean()) - 2.0 * g_h * g_k)
+
+
+def _raw_longrun(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
+    """Unfloored ``sum_{lag=0..h_n} sigma_bar_{h,k}(lag) / n``, lags 0..L; needs h_n + L < n.
+
+    ``A = P[:n-lag].T @ P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less
+    ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper triangular).
+    """
+    n = values.size
+    P = np.zeros((n, L + 1))
+    for h in range(L + 1):
+        P[:n - h, h] = values[:n - h] * values[h:]
+    k = np.arange(L + 1)
+    edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
+    A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
+    for lag in range(h_n + 1):
+        np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
+        np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+    # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
+    sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
+    lags = np.arange(h_n + 1)[:, None, None]
+    counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
+    g = np.array([_autocov(values, h) for h in range(L + 1)])
+    terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
+    return terms.sum(axis=0) / n
 
 
 def theta_bar(x, h: int, k: int, cfg: EstimatorConfig | None = None) -> float:
     """Truncated long-run covariance estimate for the (h, k) lag pair.
 
-    Sums :func:`sigma_bar` over displacements 0..h_n and divides by n.
-    Symmetric in (h, k) by construction.
+    Sums :func:`sigma_bar` over displacements 0..h_n and divides by n, as the
+    unfloored :func:`estimate_longrun_cov` matrix does; symmetric in (h, k).
     """
     cfg = cfg or EstimatorConfig()
     values = as_timeseries(x).values
@@ -149,24 +163,18 @@ def theta_bar(x, h: int, k: int, cfg: EstimatorConfig | None = None) -> float:
         raise ValueError(f"lags must satisfy 0 <= h, k < n, got h={h}, k={k}, n={n}")
     h_n = truncation_lag(n, cfg.beta)
     if h_n + hi >= n:
-        raise ValueError(
-            f"insufficient data: n={n} but the displacement sum needs "
-            f"n > h_n + max(h, k) = {h_n + hi}"
-        )
-    g_lo = _autocov(values, lo)
-    g_hi = _autocov(values, hi)
-    total = 0.0
-    for lag in range(h_n + 1):
-        total += _sigma_bar(values, lo, hi, lag, g_lo, g_hi)
-    return total / n
+        raise ValueError(f"insufficient data: n={n} but the displacement sum needs "
+                         f"n > h_n + max(h, k) = {h_n + hi}")
+    return float(_raw_longrun(values, hi, h_n)[lo, hi])
 
 
 def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMatrix:
     """Estimated long-run covariance matrix of the lag-0..L autocovariances.
 
-    Fills the upper triangle with :func:`theta_bar`, mirrors it, then
-    floors the eigenvalues at ``cfg.eps_floor`` (or the automatic
-    trace-relative floor) so the returned matrix is positive definite.
+    Computes every :func:`theta_bar` entry at once, then floors the
+    eigenvalues at ``cfg.eps_floor`` or the automatic trace-relative floor
+    so the returned matrix is positive definite.  The statistic stays
+    scale-invariant until fourth powers overflow (values near 1e77).
 
     Raises
     ------
@@ -175,8 +183,7 @@ def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMa
         usable length.
     """
     cfg = cfg or EstimatorConfig()
-    ts = as_timeseries(x)
-    values = ts.values
+    values = as_timeseries(x).values
     n = values.size
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
@@ -188,18 +195,9 @@ def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMa
             f"insufficient data: n={n} with L={L}, beta={cfg.beta} needs "
             f"n > h_n + L = {h_n + L}; minimum usable n is {_min_usable_n(L, cfg.beta)}"
         )
-    g = np.array([_autocov(values, h) for h in range(L + 1)])
-    raw = np.empty((L + 1, L + 1))
-    for h in range(L + 1):
-        for k in range(h, L + 1):
-            total = 0.0
-            for lag in range(h_n + 1):
-                total += _sigma_bar(values, h, k, lag, g[h], g[k])
-            raw[h, k] = raw[k, h] = total / n
-
-    floor = cfg.eps_floor
-    if floor is None:
-        floor = max(1e-8 * float(np.trace(raw)) / (L + 1), 1e-12)
+    raw = _raw_longrun(values, L, h_n)
+    trace = float(np.trace(raw))
+    floor = cfg.eps_floor or (1e-8 * trace / (L + 1) if trace > 0.0 else 1e-12)
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

@@ -61,6 +61,30 @@ def sigma_bar_reference(x, h: int, k: int, lag: int) -> float:
     return total
 
 
+def read_series_reference(path) -> list[float]:
+    """Per-line parse of a one-value-per-line file, raising on the first bad line.
+
+    Blank lines and lines starting with '#' (after stripping) are skipped;
+    lines are what text-mode iteration yields.
+    """
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: non-finite value: {text!r}")
+            values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no data lines found")
+    return values
+
+
 def ma1_longrun_matrix(theta: float, sigma: float) -> list[list[float]]:
     """Closed-form 2x2 long-run covariance for an MA(1) process.
 

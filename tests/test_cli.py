@@ -6,6 +6,8 @@ from cssm.critval import BridgeConfig, critical_value
 from cssm.cusum import cssm_test
 from cssm.mc import rep_seed
 
+from oracles import read_series_reference
+
 
 def run_cli(*args, capsys=None):
     code = main(list(args))
@@ -38,6 +40,40 @@ class TestReadSeries:
         f.write_text("# nothing\n")
         with pytest.raises(ValueError, match="no data"):
             read_series(f)
+
+
+def parse_outcome(parse, path):
+    """The parsed values as a list, or the message of the ValueError raised."""
+    try:
+        return list(parse(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReadSeriesParity:
+    """The bulk parser gives exactly what the per-line loop gives."""
+
+    @pytest.mark.parametrize("raw,want", [
+        (b"1.0\r\n2.0\r\n", [1.0, 2.0]),
+        (b"1.0\r2.0\r", [1.0, 2.0]),
+        (b"1.0\n2.5", [1.0, 2.5]),
+        (b"1_000\n+2.5e3\n", [1000.0, 2500.0]),
+        (b"1.0\n1 2\n", "line 2: not a number"),
+        (b"1.0\x0c2.0\n3.0\n", "line 1: not a number"),
+        (b"1.0\n2.0\ninf\n", "line 3: non-finite"),
+        (b"nan\nfoo\n", "line 1: non-finite"),
+        (b"\n  \n# only a comment\n", "no data lines found"),
+    ], ids=["crlf", "cr", "no-final-newline", "underscore-and-plus", "two-fields",
+            "form-feed", "inf", "first-bad-line-wins", "no-data"])
+    def test_same_outcome_as_per_line_loop(self, tmp_path, raw, want):
+        f = tmp_path / "x.txt"
+        f.write_bytes(raw)
+        got = parse_outcome(read_series, f)
+        assert got == parse_outcome(read_series_reference, f)
+        if isinstance(want, str):
+            assert isinstance(got, str) and want in got
+        else:
+            assert got == want
 
 
 class TestSimulate:

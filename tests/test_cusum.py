@@ -140,6 +140,19 @@ class TestCssmTest:
             assert scaled.statistic == pytest.approx(base.statistic, rel=1e-6)
             assert scaled.change_index == base.change_index
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-40, 1e60])
+    @pytest.mark.parametrize("family", ["arma11", "garch11"])
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_scale_invariance_across_double_range(self, scale, family, L):
+        # the automatic eigenvalue floor must follow the scale of the data
+        spec = {"arma11": ModelSpec.arma11(0.2, 0.1),
+                "garch11": ModelSpec.garch11(0.5, 0.1, 0.2)}[family]
+        x = simulate(spec, 600, seed=42)
+        base = cssm_test(x, L, critical_value=2.408)
+        scaled = cssm_test(scale * x.values, L, critical_value=2.408)
+        assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
+        assert scaled.change_index == base.change_index
+
     def test_smallest_argmax_wins_ties(self):
         # an exactly tied path is easiest to force through the path type
         path = CusumPath(np.array([1.0, 3.0, 3.0, 0.5]), k_min=2, k_max=5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cssm.longrun import (
     CovMatrix,
     EstimatorConfig,
+    _min_usable_n,
     bartlett_linear,
     estimate_longrun_cov,
     sigma_bar,
@@ -154,6 +155,53 @@ class TestEstimateLongrunCov:
                 assert cov.entries[h, k] == pytest.approx(
                     theta_bar(x, h, k, cfg), abs=1e-10
                 )
+
+
+class TestEstimatorMatchesLoopOracle:
+    """The product-matrix estimator against the literal displacement loops.
+
+    The y2 edge correction has min(lag, k - h) rows: at the minimum usable n
+    (h_n = 1) lag < k - h for the wider pairs, at n = 60 (h_n = 3) lag >= k - h
+    for the narrower ones, so both limits are exercised.
+    """
+
+    EPS = 1e-12
+
+    @staticmethod
+    def oracle(x, L: int) -> np.ndarray:
+        n = len(x)
+        h_n = truncation_lag(n, 0.3)
+        out = np.empty((L + 1, L + 1))
+        for h in range(L + 1):
+            for k in range(h, L + 1):
+                total = sum(sigma_bar_reference(x, h, k, lag) for lag in range(h_n + 1))
+                out[h, k] = out[k, h] = total / n
+        return out
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 4])
+    @pytest.mark.parametrize("at_minimum", [True, False])
+    def test_matrix_and_theta_bar_match_loops(self, L, at_minimum):
+        n = _min_usable_n(L, 0.3) if at_minimum else 60
+        x = np.random.default_rng(1000 + 10 * L + n).standard_normal(n)
+        raw = self.oracle(x, L)
+        tol = 1e-9 * np.abs(x).max() ** 4  # rounding scales with the summands
+        # flooring every eigenvalue at EPS is the reference regularization;
+        # on well-conditioned input it leaves the raw matrix unchanged
+        w, v = np.linalg.eigh(raw)
+        want = (v * np.maximum(w, self.EPS)) @ v.T
+        cfg = EstimatorConfig(eps_floor=self.EPS)
+        got = estimate_longrun_cov(x, L, cfg).entries
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        for h in range(L + 1):
+            for k in range(L + 1):
+                theta = theta_bar(x, h, k, cfg)
+                assert theta == pytest.approx(raw[h, k], rel=0, abs=tol)
+                if w[0] > self.EPS:
+                    assert theta == pytest.approx(got[h, k], rel=0, abs=tol)
+
+    def test_well_conditioned_case_is_covered(self):
+        x = np.random.default_rng(1000 + 10 * 4 + 60).standard_normal(60)
+        assert np.linalg.eigvalsh(self.oracle(x, 4))[0] > self.EPS
 
 
 class TestBartlettLinear:
