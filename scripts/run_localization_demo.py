@@ -11,12 +11,8 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from cssm.cli import emit_path
-from cssm.critval import critical_value
-from cssm.cusum import cusum_path
-from cssm.longrun import EstimatorConfig, estimate_longrun_cov
+from cssm.cusum import cssm_test
 from cssm.models import ChangeSpec, ModelSpec, simulate_with_change
 
 
@@ -35,17 +31,13 @@ def main() -> None:
         ModelSpec.product2dep(0.0, args.sigma_after),
     )
     series = simulate_with_change(change, args.n, args.seed)
-    cov = estimate_longrun_cov(series, 1, EstimatorConfig())
-    path = cusum_path(series, cov, 1)
-    crit = critical_value(1, 0.05)
-    k_hat = path.k_min + int(np.argmax(path.values))
-    statistic = float(path.values.max())
+    res = cssm_test(series, 1)
 
     print(f"true break after observation {args.break_at}")
-    print(f"statistic {statistic:.3f} vs critical value {crit:.3f} "
-          f"-> {'change detected' if statistic >= crit else 'no change detected'}")
-    print(f"estimated change location k^ = {k_hat}")
-    emit_path(path, crit, args.out)
+    print(f"statistic {res.statistic:.3f} vs critical value {res.critical_value:.3f} "
+          f"-> {'change detected' if res.reject else 'no change detected'}")
+    print(f"estimated change location k^ = {res.change_index}")
+    emit_path(res.path, res.critical_value, args.out)
     print(f"wrote path to {args.out}")
 
 

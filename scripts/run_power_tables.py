@@ -23,14 +23,13 @@ def main() -> None:
     parser.add_argument("--tables", nargs="+", default=list(TABLE_IDS),
                         choices=list(TABLE_IDS))
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for table in args.tables:
         start = time.perf_counter()
-        reports = run_table(table, args.reps, args.seed, workers=args.workers)
+        reports = run_table(table, args.reps, args.seed)
         path = out_dir / f"{table}.csv"
         write_reports_csv(reports, path)
         print(f"== {table} ({time.perf_counter() - start:.1f}s) -> {path}")

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autocov import TimeSeries
 from .critval import BridgeConfig, critical_value
-from .cusum import cusum_path
-from .longrun import EstimatorConfig, estimate_longrun_cov, truncation_lag
+from .cusum import cssm_test
+from .longrun import EstimatorConfig, truncation_lag
 from .mc import DEFAULT_SEED, TABLE_IDS, run_table, write_reports_csv
 from .models import ChangeSpec, Family, ModelSpec, simulate, simulate_with_change
 
@@ -60,7 +59,7 @@ def write_series(values: np.ndarray, stream) -> None:
         stream.write(format(float(v), ".17g") + "\n")
 
 
-def _parse_params(text: str, family: Family) -> tuple[float, ...]:
+def _parse_params(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
@@ -69,11 +68,11 @@ def _parse_params(text: str, family: Family) -> tuple[float, ...]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     family = Family(args.family)
-    spec = ModelSpec(family, _parse_params(args.params, family), args.noise_sigma)
+    spec = ModelSpec(family, _parse_params(args.params), args.noise_sigma)
     if args.change_at is not None:
         if args.params_after is None:
             raise ValueError("--change-at requires --params-after")
-        after = ModelSpec(family, _parse_params(args.params_after, family),
+        after = ModelSpec(family, _parse_params(args.params_after),
                           args.noise_sigma)
         series = simulate_with_change(
             ChangeSpec(args.change_at, spec, after), args.n, args.seed, args.burn_in
@@ -90,9 +89,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_critical_value(args: argparse.Namespace) -> float:
-    cfg = BridgeConfig(grid_points=args.grid, replications=args.reps, seed=args.seed)
-    return critical_value(args.L, args.alpha, cfg, cache_path=args.cache)
+def _bridge_cfg(args: argparse.Namespace) -> BridgeConfig:
+    return BridgeConfig(grid_points=args.grid, replications=args.reps, seed=args.seed)
 
 
 def emit_path(path_obj, crit: float, out_path) -> None:
@@ -108,43 +106,37 @@ def cmd_detect(args: argparse.Namespace) -> int:
     values = read_series(args.input)
     if args.center:
         values = values - values.mean()
-    series = TimeSeries(values)
-    cfg = EstimatorConfig(beta=args.beta, eps_floor=args.eps_floor)
-    cov = estimate_longrun_cov(series, args.L, cfg)
-    path = cusum_path(series, cov, args.L)
-    best = int(np.argmax(path.values))
-    statistic = float(path.values[best])
-    change_index = path.k_min + best
-    crit = _resolve_critical_value(args)
-    reject = statistic >= crit
+    res = cssm_test(values, args.L, EstimatorConfig(beta=args.beta, eps_floor=args.eps_floor),
+                    args.alpha, bridge_cfg=_bridge_cfg(args), cache_path=args.cache)
 
     lines = [
-        f"n: {series.n}",
-        f"L: {args.L}",
+        f"n: {res.n}",
+        f"L: {res.L}",
         f"alpha: {args.alpha:g}",
-        f"h_n: {truncation_lag(series.n, args.beta)}",
-        f"statistic: {statistic:.6g}",
-        f"critical_value: {crit:.6g}",
-        f"change_detected: {'yes' if reject else 'no'}",
-        f"change_index: {change_index}",
+        f"h_n: {truncation_lag(res.n, args.beta)}",
+        f"statistic: {res.statistic:.6g}",
+        f"critical_value: {res.critical_value:.6g}",
+        f"change_detected: {'yes' if res.reject else 'no'}",
+        f"change_index: {res.change_index}",
     ]
     report = "\n".join(lines)
     print(report)
     if args.out:
         Path(args.out).write_text(report + "\n", encoding="ascii")
     if args.path_out:
-        emit_path(path, crit, args.path_out)
-    return 1 if reject else 0
+        emit_path(res.path, res.critical_value, args.path_out)
+    return 1 if res.reject else 0
 
 
 def cmd_critval(args: argparse.Namespace) -> int:
-    print(format(_resolve_critical_value(args), ".17g"))
+    value = critical_value(args.L, args.alpha, _bridge_cfg(args), cache_path=args.cache)
+    print(format(value, ".17g"))
     return 0
 
 
 def cmd_power(args: argparse.Namespace) -> int:
     cfg = EstimatorConfig(beta=args.beta, eps_floor=args.eps_floor)
-    reports = run_table(args.table, args.reps, args.seed, cfg, workers=args.workers)
+    reports = run_table(args.table, args.reps, args.seed, cfg)
     write_reports_csv(reports, args.out)
     for rep in reports:
         print(f"{rep.scenario.label}: power={rep.power:.3f} "
@@ -216,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_pow.add_argument("--beta", type=float, default=0.3)
     p_pow.add_argument("--eps-floor", type=float, default=None)
-    p_pow.add_argument("--workers", type=int, default=1)
     p_pow.add_argument("--out", required=True, help="CSV output path")
     p_pow.set_defaults(func=cmd_power)
 

@@ -179,7 +179,7 @@ def _cache_append(path, key: tuple[int, float, int, int, int], c: float) -> None
 
 
 def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
-                   cache_path=None, workers: int = 1) -> float:
+                   cache_path=None) -> float:
     """Critical value c(L, alpha) for the bridge-supremum limit law.
 
     Returns the built-in table entry when one exists; otherwise simulates
@@ -208,7 +208,7 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     with _memo_lock:
         c = _memo.get(key)
     if c is None:
-        c = sup_quantile(simulate_bridge_sup(L, cfg, workers=workers), alpha)
+        c = sup_quantile(simulate_bridge_sup(L, cfg), alpha)
         with _memo_lock:
             _memo[key] = c
     if cache_path is not None:

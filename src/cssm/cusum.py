@@ -9,7 +9,7 @@ Brownian bridges, so decisions use the quantiles from :mod:`cssm.critval`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,8 @@ class TestResult:
         estimated change location, reported whether or not the test rejects.
     critical_value: threshold the statistic was compared against.
     reject: True when statistic >= critical_value.
+    path: the CUSUM path the statistic was taken from; left out of
+        equality and repr.
     """
 
     statistic: float
@@ -62,6 +64,7 @@ class TestResult:
     reject: bool
     L: int
     n: int
+    path: CusumPath = field(compare=False, repr=False)
 
 
 def inv_sqrt(C) -> np.ndarray:
@@ -117,20 +120,21 @@ def cssm_test(x, L: int, cfg: EstimatorConfig | None = None, alpha: float = 0.05
 
     Estimates the long-run covariance from the full series, builds the
     CUSUM path, and compares its maximum against the (1-alpha) quantile of
-    the limit law.  The quantile comes from the built-in table when
-    available; otherwise pass ``bridge_cfg`` (or a precomputed
-    ``critical_value``, which skips the lookup entirely).
+    the limit law.  The quantile is resolved only after the path, so data
+    that is too short fails before any bridge simulation.  It comes from
+    the built-in table when available; otherwise pass ``bridge_cfg`` (and
+    optionally a ``cache_path``), or a precomputed ``critical_value``,
+    which skips the lookup entirely.
 
-    Ties in the argmax resolve to the smallest k.
+    Ties in the argmax resolve to the smallest k.  The result carries the
+    path itself for plotting or export.
     """
     ts = as_timeseries(x)
-    cfg = cfg or EstimatorConfig()
+    path = cusum_path(ts, estimate_longrun_cov(ts, L, cfg), L)
     if critical_value is None:
         critical_value = _critval.critical_value(
             L, alpha, bridge_cfg, cache_path=cache_path
         )
-    cov = estimate_longrun_cov(ts, L, cfg)
-    path = cusum_path(ts, cov, L)
     best = int(np.argmax(path.values))
     statistic = float(path.values[best])
     return TestResult(
@@ -140,4 +144,5 @@ def cssm_test(x, L: int, cfg: EstimatorConfig | None = None, alpha: float = 0.05
         reject=statistic >= critical_value,
         L=L,
         n=ts.n,
+        path=path,
     )

@@ -129,24 +129,30 @@ def _raw_longrun(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
 
     ``A = P[:n-lag].T @ P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less
     ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper triangular).
+    Fourth-order products past the double range raise ValueError, not warnings.
     """
     n = values.size
-    P = np.zeros((n, L + 1))
-    for h in range(L + 1):
-        P[:n - h, h] = values[:n - h] * values[h:]
-    k = np.arange(L + 1)
-    edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
-    A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
-    for lag in range(h_n + 1):
-        np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
-        np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
-    # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
-    sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
-    lags = np.arange(h_n + 1)[:, None, None]
-    counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
-    g = np.array([_autocov(values, h) for h in range(L + 1)])
-    terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
-    return terms.sum(axis=0) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.zeros((n, L + 1))
+        for h in range(L + 1):
+            P[:n - h, h] = values[:n - h] * values[h:]
+        k = np.arange(L + 1)
+        edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
+        A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
+        for lag in range(h_n + 1):
+            np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
+            np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+        # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
+        sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
+        lags = np.arange(h_n + 1)[:, None, None]
+        counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
+        g = np.array([_autocov(values, h) for h in range(L + 1)])
+        terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
+        raw = terms.sum(axis=0) / n
+    if not np.isfinite(raw).all():
+        raise ValueError("fourth-order products of the series overflow double precision; "
+                         "rescale the series (e.g. divide it by its standard deviation)")
+    return raw
 
 
 def theta_bar(x, h: int, k: int, cfg: EstimatorConfig | None = None) -> float:
@@ -180,7 +186,8 @@ def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMa
     ------
     ValueError
         If ``n`` is too small for the truncation lag, naming the minimum
-        usable length.
+        usable length, or if the fourth-order products overflow, asking
+        for the series to be rescaled.
     """
     cfg = cfg or EstimatorConfig()
     values = as_timeseries(x).values

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import critval as _critval
-from .critval import BridgeConfig
 from .cusum import cssm_test
 from .longrun import EstimatorConfig
 from .models import ChangeSpec, ModelSpec, simulate_with_change
@@ -90,23 +89,28 @@ def rep_seed(base_seed: int, r: int) -> int:
 
 
 def run_scenario(scenario: Scenario, workers: int = 1, *,
-                 critical_value: float | None = None,
-                 bridge_cfg: BridgeConfig | None = None,
-                 cache_path=None) -> PowerReport:
+                 critical_value: float | None = None) -> PowerReport:
     """Replicate a scenario and tally rejections.
 
-    Each replication simulates with its own derived seed and runs the
-    test; results do not depend on ``workers`` or execution order.  The
-    critical value is resolved once up front (built-in table, or a bridge
-    simulation when ``bridge_cfg`` is given).
-    """
-    if critical_value is None:
-        critical_value = _critval.critical_value(
-            scenario.L, scenario.alpha, bridge_cfg, cache_path=cache_path
-        )
-    start = time.perf_counter()
+    Replications run one after another on the calling thread, each
+    simulating with its own derived seed, so the report is a pure function
+    of the scenario.  The critical value is resolved once up front from
+    the built-in table unless ``critical_value`` is given.
 
-    def one(r: int) -> tuple[bool, int] | None:
+    ``workers`` is deprecated and ignored: a thread pool over the Python
+    simulators only made runs slower.  Any value other than 1 raises a
+    DeprecationWarning.
+    """
+    if workers != 1:
+        warnings.warn("run_scenario(workers=) is deprecated and ignored; "
+                      "replications always run serially",
+                      DeprecationWarning, stacklevel=2)
+    if critical_value is None:
+        critical_value = _critval.critical_value(scenario.L, scenario.alpha)
+    start = time.perf_counter()
+    failures = 0
+    reject_locs = []
+    for r in range(1, scenario.replications + 1):
         try:
             series = simulate_with_change(
                 scenario.change, scenario.n, rep_seed(scenario.seed, r)
@@ -116,20 +120,13 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
                 critical_value=critical_value,
             )
         except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-            return None
-        return result.reject, result.change_index
+            failures += 1
+            continue
+        if result.reject:
+            reject_locs.append(result.change_index)
 
-    reps = range(1, scenario.replications + 1)
-    if workers <= 1:
-        outcomes = [one(r) for r in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, reps))
-
-    failures = sum(1 for o in outcomes if o is None)
-    completed = len(outcomes) - failures
-    rejections = sum(1 for o in outcomes if o is not None and o[0])
-    reject_locs = [o[1] for o in outcomes if o is not None and o[0]]
+    completed = scenario.replications - failures
+    rejections = len(reject_locs)
     mean_loc = float(np.mean(reject_locs)) if reject_locs else math.nan
     return PowerReport(
         scenario=scenario,
@@ -200,13 +197,9 @@ def table_scenarios(table_id: str, replications: int = 1000,
 
 
 def run_table(table_id: str, replications: int = 1000, seed: int = DEFAULT_SEED,
-              cfg: EstimatorConfig = EstimatorConfig(),
-              workers: int = 1) -> list[PowerReport]:
+              cfg: EstimatorConfig = EstimatorConfig()) -> list[PowerReport]:
     """Run every scenario of one table and return the reports in grid order."""
-    return [
-        run_scenario(s, workers=workers)
-        for s in table_scenarios(table_id, replications, seed, cfg)
-    ]
+    return [run_scenario(s) for s in table_scenarios(table_id, replications, seed, cfg)]
 
 
 _CSV_HEADER = (

@@ -136,6 +136,18 @@ class TestDetect:
         assert code == 2
         assert "minimum usable n" in err
 
+    def test_short_series_fails_before_critical_value(self, tmp_path, capsys):
+        # (L=2, alpha=0.05) is not built in; bad data must fail before the
+        # bridge simulation that would resolve it and fill the cache
+        f = tmp_path / "short.txt"
+        f.write_text("1.0\n-1.0\n0.5\n")
+        cache = tmp_path / "cache.txt"
+        code, _, err = run_cli("detect", str(f), "--L", "2", "--cache", str(cache),
+                               capsys=capsys)
+        assert code == 2
+        assert "minimum usable n" in err
+        assert not cache.exists()
+
     def test_variance_change_detected_near_break(self, tmp_path, capsys):
         sim = tmp_path / "fig4.txt"
         assert main([

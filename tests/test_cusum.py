@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from cssm.critval import BridgeConfig
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
-from cssm.longrun import CovMatrix, EstimatorConfig
+from cssm.longrun import CovMatrix, EstimatorConfig, estimate_longrun_cov
 from cssm.mc import rep_seed
 from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 
@@ -131,6 +133,11 @@ class TestCssmTest:
         assert res.reject == (res.statistic >= res.critical_value)
         assert res.L + 1 <= res.change_index <= res.n - 1
         assert res.n == 400
+        want = cusum_path(x, estimate_longrun_cov(x, 1), 1)
+        np.testing.assert_array_equal(res.path.values, want.values)
+        assert (res.path.k_min, res.path.k_max) == (want.k_min, want.k_max)
+        assert res.statistic == res.path.values.max()
+        assert res.change_index == res.path.k_min + int(np.argmax(res.path.values))
 
     def test_scale_invariance_of_statistic(self):
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42)
@@ -152,6 +159,14 @@ class TestCssmTest:
         scaled = cssm_test(scale * x.values, L, critical_value=2.408)
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
         assert scaled.change_index == base.change_index
+
+    @pytest.mark.parametrize("scale", [1e77, 1e150, 1e300])
+    def test_overflowing_scale_raises_without_warnings(self, scale):
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow.*rescale"):
+                cssm_test(scale * x.values, 1)
 
     def test_smallest_argmax_wins_ties(self):
         # an exactly tied path is easiest to force through the path type

@@ -61,6 +61,12 @@ class TestRunScenario:
             or (math.isnan(serial.mean_change_index)
                 and math.isnan(threaded.mean_change_index))
 
+    def test_workers_argument_is_deprecated_and_ignored(self):
+        serial = run_scenario(arma_scenario(reps=20))
+        with pytest.warns(DeprecationWarning, match="workers"):
+            other = run_scenario(arma_scenario(reps=20), workers=3)
+        assert (other.rejections, other.failures) == (serial.rejections, serial.failures)
+
     def test_strong_change_beats_no_change(self):
         null = run_scenario(arma_scenario(reps=120))
         alt = run_scenario(
