@@ -8,7 +8,6 @@ m-dependent products, ...).
 """
 
 from .autocov import (
-    AutocovVector,
     TimeSeries,
     as_timeseries,
     circular_autocov,
@@ -18,7 +17,6 @@ from .autocov import (
 from .critval import (
     BUILTIN_TABLE,
     BridgeConfig,
-    CriticalTable,
     critical_value,
     simulate_bridge_sup,
     sup_quantile,
@@ -48,12 +46,10 @@ from .models import ChangeSpec, Family, ModelSpec, simulate, simulate_with_chang
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutocovVector",
     "BUILTIN_TABLE",
     "BridgeConfig",
     "ChangeSpec",
     "CovMatrix",
-    "CriticalTable",
     "CusumPath",
     "DEFAULT_SEED",
     "EstimatorConfig",

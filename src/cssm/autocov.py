@@ -49,34 +49,6 @@ def as_timeseries(x) -> TimeSeries:
     return TimeSeries(np.asarray(x, dtype=np.float64))
 
 
-@dataclass(frozen=True, eq=False)
-class AutocovVector:
-    """Autocovariances at lags 0..L computed from the first ``n_used`` points.
-
-    Attributes
-    ----------
-    gamma : ndarray, shape (L+1,)
-        ``gamma[h]`` is the lag-h sample autocovariance of the prefix.
-    n_used : int
-        Prefix length the values were computed from.
-    L : int
-        Largest lag, ``L < n_used``.
-    """
-
-    gamma: np.ndarray
-    n_used: int
-    L: int
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.gamma, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size != self.L + 1:
-            raise ValueError(f"gamma must have length L+1={self.L + 1}, got {arr.shape}")
-        if not self.L < self.n_used:
-            raise ValueError(f"need L < n_used, got L={self.L}, n_used={self.n_used}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "gamma", arr)
-
-
 def _check_lag(h: int, n: int) -> None:
     if not 0 <= h < n:
         raise ValueError(f"lag must be in [0, {n - 1}], got {h}")
@@ -113,34 +85,12 @@ def sample_autocov(x, h: int) -> float:
 circular_autocov = sample_autocov
 
 
-def _prefix_autocov_matrix(values: np.ndarray, L: int) -> np.ndarray:
-    """Matrix of prefix autocovariances, rows k = L+1..n, columns lags 0..L.
+def prefix_autocovs(x, L: int) -> np.ndarray:
+    """Autocovariances at lags 0..L of every prefix ``x[:k]``, k = L+1..n; needs L < n.
 
-    Built from running sums of the lagged products, O(n*L) total.
-    """
-    n = values.size
-    out = np.empty((n - L, L + 1))
-    k = np.arange(L + 1, n + 1, dtype=np.float64)
-    for h in range(L + 1):
-        csum = np.cumsum(values[: n - h] * values[h:])
-        out[:, h] = csum[L - h:] / k
-    return out
-
-
-def prefix_autocovs(x, L: int) -> list[AutocovVector]:
-    """Autocovariance vectors of every prefix ``x[:k]`` for k = L+1..n.
-
-    Parameters
-    ----------
-    x : TimeSeries or array-like
-    L : int
-        Largest lag; requires ``L + 1 <= n``.
-
-    Returns
-    -------
-    list of AutocovVector
-        Element ``j`` holds lags 0..L of the length-(L+1+j) prefix; the
-        last element equals the full-sample autocovariances.
+    Returns a read-only (n-L) x (L+1) array: row ``j`` holds the length-(L+1+j)
+    prefix, so the last row is the full-sample autocovariances.  Built from
+    running sums of the lagged products, O(n*L) total.
     """
     values = as_timeseries(x).values
     n = values.size
@@ -148,8 +98,10 @@ def prefix_autocovs(x, L: int) -> list[AutocovVector]:
         raise ValueError(f"L must be nonnegative, got {L}")
     if L >= n:
         raise ValueError(f"need L < n, got L={L} with n={n}")
-    mat = _prefix_autocov_matrix(values, L)
-    return [
-        AutocovVector(gamma=mat[j], n_used=L + 1 + j, L=L)
-        for j in range(n - L)
-    ]
+    out = np.empty((n - L, L + 1))
+    k = np.arange(L + 1, n + 1, dtype=np.float64)
+    for h in range(L + 1):
+        csum = np.cumsum(values[: n - h] * values[h:])
+        out[:, h] = csum[L - h:] / k
+    out.setflags(write=False)
+    return out

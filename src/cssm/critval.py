@@ -9,7 +9,9 @@ walks via ``B(t) = W(t) - t W(1)``, and the empirical quantile of the
 per-replication suprema is returned.
 
 Simulated values can be cached in an append-only text file, one record
-per line: ``L alpha grid replications seed c_value``.
+per line: ``L alpha grid replications seed c_value``.  Nothing is kept in
+memory, so repeated calls with a :class:`BridgeConfig` should pass
+``cache_path`` or reuse the value (``cssm_test(..., critical_value=c)``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,6 @@ import numpy as np
 # never on scheduling or worker count.
 _BATCH_SIZE = 512
 
-_memo: dict[tuple[int, float, int, int, int], float] = {}
-_memo_lock = threading.Lock()
 _cache_lock = threading.Lock()
 
 
@@ -55,38 +55,13 @@ class BridgeConfig:
             raise ValueError("seed must be a positive 64-bit integer")
 
 
-@dataclass
-class CriticalTable:
-    """Map from (L, alpha) to a critical value, with monotonicity checks."""
-
-    values: dict[tuple[int, float], float] = field(default_factory=dict)
-
-    def get(self, L: int, alpha: float) -> float | None:
-        return self.values.get((L, alpha))
-
-    def put(self, L: int, alpha: float, c: float) -> None:
-        if not c > 0.0:
-            raise ValueError(f"critical value must be positive, got {c}")
-        self.values[(L, alpha)] = c
-
-    def check_monotone(self) -> None:
-        """Raise if the table violates monotonicity in alpha or L."""
-        for (l1, a1), c1 in self.values.items():
-            for (l2, a2), c2 in self.values.items():
-                if l1 == l2 and a1 < a2 and not c1 > c2:
-                    raise ValueError(
-                        f"c(L={l1}, alpha={a1})={c1} should exceed "
-                        f"c(L={l2}, alpha={a2})={c2}"
-                    )
-                if a1 == a2 and l1 > l2 and not c1 > c2:
-                    raise ValueError(
-                        f"c(L={l1}, alpha={a1})={c1} should exceed "
-                        f"c(L={l2}, alpha={a2})={c2}"
-                    )
+#: Quantiles shipped with the package, keyed by (L, alpha); all else is simulated.
+BUILTIN_TABLE: dict[tuple[int, float], float] = {(1, 0.05): 2.408}
 
 
-#: Quantiles shipped with the package; everything else is simulated.
-BUILTIN_TABLE = CriticalTable({(1, 0.05): 2.408})
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
@@ -140,8 +115,7 @@ def sup_quantile(sups, alpha: float) -> float:
     r = arr.size
     if r < 1:
         raise ValueError("need at least one supremum")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rank = min(max(math.ceil((1.0 - alpha) * r), 1), r)
     return float(np.partition(arr, rank - 1)[rank - 1])
 
@@ -184,13 +158,13 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
 
     Returns the built-in table entry when one exists; otherwise simulates
     with ``cfg`` (required in that case), consulting and appending to the
-    cache file when ``cache_path`` is given.
+    cache file when ``cache_path`` is given.  Without one, every call with
+    the same ``cfg`` simulates again.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    hit = BUILTIN_TABLE.get(L, alpha)
+    hit = BUILTIN_TABLE.get((L, alpha))
     if hit is not None:
         return hit
     if cfg is None:
@@ -202,15 +176,8 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     if cache_path is not None:
         cached = _cache_lookup(cache_path, key)
         if cached is not None:
-            with _memo_lock:
-                _memo[key] = cached
             return cached
-    with _memo_lock:
-        c = _memo.get(key)
-    if c is None:
-        c = sup_quantile(simulate_bridge_sup(L, cfg), alpha)
-        with _memo_lock:
-            _memo[key] = c
+    c = sup_quantile(simulate_bridge_sup(L, cfg), alpha)
     if cache_path is not None:
         _cache_append(cache_path, key, c)
     return c

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import _prefix_autocov_matrix, as_timeseries
+from .autocov import as_timeseries, prefix_autocovs
 from .critval import BridgeConfig
 from .longrun import CovMatrix, EstimatorConfig, estimate_longrun_cov
 
@@ -93,8 +93,7 @@ def cusum_path(x, C: CovMatrix, L: int) -> CusumPath:
     the weighting.
     """
     ts = as_timeseries(x)
-    values = ts.values
-    n = values.size
+    n = ts.n
     if isinstance(C, CovMatrix) and C.L != L:
         raise ValueError(f"covariance matrix is for L={C.L}, expected L={L}")
     if n < L + 2:
@@ -104,7 +103,7 @@ def cusum_path(x, C: CovMatrix, L: int) -> CusumPath:
         raise ValueError(
             f"covariance matrix must be {L + 1}x{L + 1}, got {root.shape}"
         )
-    prefix = _prefix_autocov_matrix(values, L)
+    prefix = prefix_autocovs(ts, L)
     diffs = prefix[:-1] - prefix[-1]
     weighted = diffs @ root
     k = np.arange(L + 1, n, dtype=np.float64)
@@ -124,11 +123,14 @@ def cssm_test(x, L: int, cfg: EstimatorConfig | None = None, alpha: float = 0.05
     that is too short fails before any bridge simulation.  It comes from
     the built-in table when available; otherwise pass ``bridge_cfg`` (and
     optionally a ``cache_path``), or a precomputed ``critical_value``,
-    which skips the lookup entirely.
+    which skips the lookup entirely; repeated calls with a ``bridge_cfg``
+    should pass one of the two, as simulated values are not kept in memory.
+    ``alpha`` must lie in (0, 1) even when ``critical_value`` is given.
 
     Ties in the argmax resolve to the smallest k.  The result carries the
     path itself for plotting or export.
     """
+    _critval._check_alpha(alpha)
     ts = as_timeseries(x)
     path = cusum_path(ts, estimate_longrun_cov(ts, L, cfg), L)
     if critical_value is None:

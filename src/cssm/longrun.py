@@ -63,8 +63,9 @@ class EstimatorConfig:
         must lie in (0, 1/2).  Defaults to 0.3.
     eps_floor : float or None
         Absolute eigenvalue floor applied after estimation.  None picks the
-        scale-following ``1e-8 * trace / (L+1)`` of the raw matrix per call,
-        or 1e-12 when that trace is not positive (e.g. an all-zero series).
+        scale-following ``1e-8 * trace / (L+1)`` of the raw matrix per call;
+        when that trace is not positive it picks ``1e-8 * gamma_hat(0)**2``,
+        and 1e-12 only when that is zero (e.g. an all-zero series).
     """
 
     beta: float = 0.3
@@ -101,7 +102,8 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
     (mean_i[y1_i + y2_i] - 2 g(h) g(k))`` where y1/y2 are the two
     orientations of the four-point product and g is the divisor-n
     autocovariance.  Products running past the end of the series are
-    dropped and the mean divides by the retained count.
+    dropped and the mean divides by the retained count.  The value is one
+    entry of the term array that :func:`estimate_longrun_cov` sums.
 
     Requires ``0 <= h <= k < n`` and ``0 <= lag < n``.
     """
@@ -111,44 +113,44 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
         raise ValueError(f"need 0 <= h <= k < n, got h={h}, k={k}, n={n}")
     if not 0 <= lag < n:
         raise ValueError(f"displacement must be in [0, {n - 1}], got {lag}")
-    m = n - lag - k
-    if m < 1:
+    if n - lag - k < 1:
         raise ValueError(f"displacement {lag} leaves no complete products "
                          f"for (h={h}, k={k}, n={n})")
-    g_h, g_k = _autocov(values, h), _autocov(values, k)
-    if lag == 0:
-        y = values[:m] ** 2 * values[h:h + m] * values[k:k + m]
-        return n * (float(y.mean()) - g_h * g_k)
-    y1 = values[:m] * values[h:h + m] * values[lag:lag + m] * values[lag + k:lag + k + m]
-    y2 = values[lag:lag + m] * values[lag + h:lag + h + m] * values[:m] * values[k:k + m]
-    return (n - lag) * (float((y1 + y2).mean()) - 2.0 * g_h * g_k)
+    return float(_longrun_terms(values, k, lag)[lag, h, k])
+
+
+def _longrun_terms(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
+    """``sigma_bar_{h,k}(lag)`` for lags 0..L and displacements 0..h_n, shape (h_n+1, L+1, L+1).
+
+    ``A = P[:n-lag].T @ P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less
+    ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper triangular).
+    Needs h_n + L < n.
+    """
+    n = values.size
+    P = np.zeros((n, L + 1))
+    for h in range(L + 1):
+        P[:n - h, h] = values[:n - h] * values[h:]
+    k = np.arange(L + 1)
+    edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
+    A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
+    for lag in range(h_n + 1):
+        np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
+        np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+    # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
+    sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
+    lags = np.arange(h_n + 1)[:, None, None]
+    counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
+    g = np.array([_autocov(values, h) for h in range(L + 1)])
+    return counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
 
 
 def _raw_longrun(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
     """Unfloored ``sum_{lag=0..h_n} sigma_bar_{h,k}(lag) / n``, lags 0..L; needs h_n + L < n.
 
-    ``A = P[:n-lag].T @ P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less
-    ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper triangular).
     Fourth-order products past the double range raise ValueError, not warnings.
     """
-    n = values.size
     with np.errstate(over="ignore", invalid="ignore"):
-        P = np.zeros((n, L + 1))
-        for h in range(L + 1):
-            P[:n - h, h] = values[:n - h] * values[h:]
-        k = np.arange(L + 1)
-        edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
-        A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
-        for lag in range(h_n + 1):
-            np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
-            np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
-        # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
-        sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
-        lags = np.arange(h_n + 1)[:, None, None]
-        counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
-        g = np.array([_autocov(values, h) for h in range(L + 1)])
-        terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
-        raw = terms.sum(axis=0) / n
+        raw = _longrun_terms(values, L, h_n).sum(axis=0) / values.size
     if not np.isfinite(raw).all():
         raise ValueError("fourth-order products of the series overflow double precision; "
                          "rescale the series (e.g. divide it by its standard deviation)")
@@ -178,9 +180,10 @@ def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMa
     """Estimated long-run covariance matrix of the lag-0..L autocovariances.
 
     Computes every :func:`theta_bar` entry at once, then floors the
-    eigenvalues at ``cfg.eps_floor`` or the automatic trace-relative floor
-    so the returned matrix is positive definite.  The statistic stays
-    scale-invariant until fourth powers overflow (values near 1e77).
+    eigenvalues at ``cfg.eps_floor`` or the automatic scale-relative floor
+    (see :class:`EstimatorConfig`) so the returned matrix is positive
+    definite.  The statistic stays scale-invariant until fourth powers
+    overflow (values near 1e77).
 
     Raises
     ------
@@ -204,7 +207,9 @@ def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMa
         )
     raw = _raw_longrun(values, L, h_n)
     trace = float(np.trace(raw))
-    floor = cfg.eps_floor or (1e-8 * trace / (L + 1) if trace > 0.0 else 1e-12)
+    # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
+    floor = cfg.eps_floor or (1e-8 * trace / (L + 1) if trace > 0.0
+                              else (1e-8 * _autocov(values, 0) ** 2 or 1e-12))
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

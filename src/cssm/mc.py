@@ -52,6 +52,7 @@ class Scenario:
     cfg: EstimatorConfig = EstimatorConfig()
 
     def __post_init__(self) -> None:
+        _critval._check_alpha(self.alpha)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.replications >= _SEED_STRIDE:

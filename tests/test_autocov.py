@@ -113,15 +113,14 @@ class TestAutocovProperties:
 class TestPrefixAutocovs:
     def test_alternating_lag0_prefixes(self):
         out = prefix_autocovs([1, -1, 1, -1], 0)
-        assert [v.n_used for v in out] == [1, 2, 3, 4]
-        for v in out:
-            assert v.gamma[0] == 1.0
+        assert out.shape == (4, 1)
+        for row in out:
+            assert row[0] == 1.0
 
     def test_two_point_series(self):
         out = prefix_autocovs([1, 2], 1)
         assert len(out) == 1
-        assert out[0].gamma == pytest.approx([2.5, 1.0])
-        assert out[0].n_used == 2
+        assert out[0] == pytest.approx([2.5, 1.0])
 
     def test_requires_L_below_n(self):
         with pytest.raises(ValueError, match="L"):
@@ -136,12 +135,12 @@ class TestPrefixAutocovs:
             out = prefix_autocovs(x, L)
             assert len(out) == n - L
             direct = [sample_autocov(x, h) for h in range(L + 1)]
-            np.testing.assert_allclose(out[-1].gamma, direct, atol=1e-10, rtol=0)
+            np.testing.assert_allclose(out[-1], direct, atol=1e-10, rtol=0)
 
     def test_every_prefix_matches_direct(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(40)
         out = prefix_autocovs(x, 3)
-        for v in out:
-            direct = [sample_autocov(x[: v.n_used], h) for h in range(4)]
-            np.testing.assert_allclose(v.gamma, direct, atol=1e-12, rtol=0)
+        for j, row in enumerate(out):
+            direct = [sample_autocov(x[: 4 + j], h) for h in range(4)]
+            np.testing.assert_allclose(row, direct, atol=1e-12, rtol=0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cssm.critval import (
     BUILTIN_TABLE,
     BridgeConfig,
-    CriticalTable,
     _bridge_paths,
     critical_value,
     simulate_bridge_sup,
@@ -102,7 +101,7 @@ class TestSupQuantile:
 class TestCriticalValue:
     def test_builtin_entry(self):
         assert critical_value(1, 0.05) == 2.408
-        assert BUILTIN_TABLE.get(1, 0.05) == 2.408
+        assert BUILTIN_TABLE[(1, 0.05)] == 2.408
 
     def test_missing_entry_without_config(self):
         with pytest.raises(ValueError, match="BridgeConfig"):
@@ -134,7 +133,11 @@ class TestCriticalValue:
     def test_cache_read_from_foreign_process(self, tmp_path):
         # records written by another run are honored
         cache = tmp_path / "cache.txt"
-        cache.write_text("# comment line\n3 0.025 150 1200 77 9.125\n")
+        # a 5-field line and a non-numeric field come first and are skipped
+        cache.write_text("# comment line\n"
+                         "3 0.025 150 1200 77\n"
+                         "3 0.025 150 1200 77 oops\n"
+                         "3 0.025 150 1200 77 9.125\n")
         cfg = BridgeConfig(grid_points=150, replications=1200, seed=77)
         assert critical_value(3, 0.025, cfg, cache_path=cache) == 9.125
 
@@ -142,20 +145,13 @@ class TestCriticalValue:
 class TestCriticalTable:
     def test_monotone_in_alpha_and_L(self):
         cfg = BridgeConfig(grid_points=400, replications=4000, seed=31)
-        table = CriticalTable()
+        c = {(L, alpha): sup_quantile(simulate_bridge_sup(L, cfg), alpha)
+             for L in (0, 1) for alpha in (0.05, 0.10)}
         for L in (0, 1):
-            for alpha in (0.05, 0.10):
-                table.put(L, alpha, sup_quantile(simulate_bridge_sup(L, cfg), alpha))
-        table.check_monotone()
-
-    def test_violation_detected(self):
-        table = CriticalTable({(0, 0.05): 1.0, (0, 0.10): 2.0})
-        with pytest.raises(ValueError, match="should exceed"):
-            table.check_monotone()
-
-    def test_put_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            CriticalTable().put(0, 0.05, 0.0)
+            assert c[(L, 0.05)] > c[(L, 0.10)]
+        for alpha in (0.05, 0.10):
+            assert c[(1, alpha)] > c[(0, alpha)]
+        assert c[(0, 0.10)] > 0.0
 
 
 class TestGridRefinement:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cssm.critval import BridgeConfig
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
-from cssm.longrun import CovMatrix, EstimatorConfig, estimate_longrun_cov
+from cssm.longrun import CovMatrix, EstimatorConfig, estimate_longrun_cov, theta_bar
 from cssm.mc import rep_seed
 from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 
@@ -67,9 +67,9 @@ class TestCusumPath:
         # the excluded endpoint k = n carries d_n = 0, so its path value
         # computed through the same arithmetic is exactly zero
         x = np.random.default_rng(2).standard_normal(50)
-        from cssm.autocov import _prefix_autocov_matrix
+        from cssm.autocov import prefix_autocovs
 
-        mat = _prefix_autocov_matrix(x, 1)
+        mat = prefix_autocovs(x, 1)
         d_n = mat[-1] - mat[-1]
         v = (50.0 / np.sqrt(50.0)) * (inv_sqrt(identity_cov(1)) @ d_n)
         assert float(v @ v) == 0.0
@@ -160,6 +160,16 @@ class TestCssmTest:
         assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
         assert scaled.change_index == base.change_index
 
+    def test_scale_invariance_when_raw_trace_is_not_positive(self):
+        # the fallback floor must follow the scale of the data too
+        x = np.random.default_rng(188).standard_normal(20)
+        assert theta_bar(x, 0, 0) + theta_bar(x, 1, 1) <= 0.0
+        base = cssm_test(x, 1, critical_value=2.408)
+        for scale in (1e-4, 1e-40, 1e60):
+            scaled = cssm_test(scale * x, 1, critical_value=2.408)
+            assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
+            assert scaled.change_index == base.change_index
+
     @pytest.mark.parametrize("scale", [1e77, 1e150, 1e300])
     def test_overflowing_scale_raises_without_warnings(self, scale):
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42)
@@ -173,6 +183,14 @@ class TestCssmTest:
         path = CusumPath(np.array([1.0, 3.0, 3.0, 0.5]), k_min=2, k_max=5)
         best = int(np.argmax(path.values))
         assert path.k_min + best == 3
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 7.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
+        with pytest.raises(ValueError, match="alpha"):
+            cssm_test(x, 1, alpha=alpha, critical_value=2.408)
+        with pytest.raises(ValueError, match="alpha"):  # checked before the data
+            cssm_test(x.values[:3], 1, alpha=alpha, critical_value=2.408)
 
     def test_unknown_alpha_without_bridge_config(self):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)

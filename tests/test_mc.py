@@ -36,6 +36,14 @@ class TestRepSeed:
         assert len({rep_seed(1 << 21, r) for r in range(1, 1001)}) == 1000
 
 
+class TestScenario:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 7.0])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        before = ModelSpec.arma11(0.2, 0.1)
+        with pytest.raises(ValueError, match="alpha"):
+            Scenario("bad alpha", ChangeSpec(150, before, before), 300, alpha=alpha)
+
+
 class TestRunScenario:
     def test_report_shape(self):
         rep = run_scenario(arma_scenario())
