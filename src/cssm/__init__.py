@@ -24,7 +24,6 @@ from .critval import (
 from .cusum import CusumPath, TestResult, cssm_test, cusum_path, inv_sqrt
 from .longrun import (
     CovMatrix,
-    EstimatorConfig,
     bartlett_linear,
     estimate_longrun_cov,
     sigma_bar,
@@ -52,7 +51,6 @@ __all__ = [
     "CovMatrix",
     "CusumPath",
     "DEFAULT_SEED",
-    "EstimatorConfig",
     "Family",
     "ModelSpec",
     "PowerReport",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .critval import BridgeConfig, critical_value
 from .cusum import cssm_test
-from .longrun import EstimatorConfig, truncation_lag
+from .longrun import truncation_lag
 from .mc import DEFAULT_SEED, TABLE_IDS, run_table, write_reports_csv
 from .models import ChangeSpec, Family, ModelSpec, simulate, simulate_with_change
 
@@ -106,8 +106,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     values = read_series(args.input)
     if args.center:
         values = values - values.mean()
-    res = cssm_test(values, args.L, EstimatorConfig(beta=args.beta, eps_floor=args.eps_floor),
-                    args.alpha, bridge_cfg=_bridge_cfg(args), cache_path=args.cache)
+    res = cssm_test(values, args.L, args.beta, args.alpha,
+                    bridge_cfg=_bridge_cfg(args), cache_path=args.cache)
 
     lines = [
         f"n: {res.n}",
@@ -135,8 +135,7 @@ def cmd_critval(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    cfg = EstimatorConfig(beta=args.beta, eps_floor=args.eps_floor)
-    reports = run_table(args.table, args.reps, args.seed, cfg)
+    reports = run_table(args.table, args.reps, args.seed, args.beta)
     write_reports_csv(reports, args.out)
     for rep in reports:
         print(f"{rep.scenario.label}: power={rep.power:.3f} "
@@ -186,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--alpha", type=float, default=0.05)
     p_det.add_argument("--beta", type=float, default=0.3,
                        help="truncation exponent of the covariance estimator")
-    p_det.add_argument("--eps-floor", type=float, default=None,
-                       help="absolute eigenvalue floor (default: automatic)")
     p_det.add_argument("--center", action="store_true",
                        help="subtract the sample mean before testing")
     p_det.add_argument("--out", default=None, help="also write the report here")
@@ -207,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--reps", type=int, default=1000)
     p_pow.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_pow.add_argument("--beta", type=float, default=0.3)
-    p_pow.add_argument("--eps-floor", type=float, default=None)
     p_pow.add_argument("--out", required=True, help="CSV output path")
     p_pow.set_defaults(func=cmd_power)
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import critval as _critval
 from .autocov import as_timeseries, prefix_autocovs
 from .critval import BridgeConfig
-from .longrun import CovMatrix, EstimatorConfig, estimate_longrun_cov
+from .longrun import CovMatrix, estimate_longrun_cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,28 +111,35 @@ def cusum_path(x, C: CovMatrix, L: int) -> CusumPath:
     return CusumPath(values=vals, k_min=L + 1, k_max=n - 1)
 
 
-def cssm_test(x, L: int, cfg: EstimatorConfig | None = None, alpha: float = 0.05,
+def cssm_test(x, L: int, beta: float = 0.3, alpha: float = 0.05,
               *, critical_value: float | None = None,
               bridge_cfg: BridgeConfig | None = None,
               cache_path=None) -> TestResult:
     """Test for a change in the autocovariance structure at lags 0..L.
 
-    Estimates the long-run covariance from the full series, builds the
-    CUSUM path, and compares its maximum against the (1-alpha) quantile of
-    the limit law.  The quantile is resolved only after the path, so data
-    that is too short fails before any bridge simulation.  It comes from
-    the built-in table when available; otherwise pass ``bridge_cfg`` (and
-    optionally a ``cache_path``), or a precomputed ``critical_value``,
-    which skips the lookup entirely; repeated calls with a ``bridge_cfg``
-    should pass one of the two, as simulated values are not kept in memory.
+    Estimates the long-run covariance from the full series with cutoff
+    exponent ``beta`` (see :func:`cssm.longrun.estimate_longrun_cov`), builds
+    the CUSUM path, and compares its maximum against the (1-alpha) quantile
+    of the limit law.  The test is scale-free across the whole double range:
+    the series is first divided by the power of two that puts max|x| in
+    [0.5, 1), which changes no rounding for data of ordinary scale.
+
+    The quantile is resolved only after the path, so data that is too short
+    fails before any bridge simulation.  It comes from the built-in table
+    when available; otherwise pass ``bridge_cfg`` (and optionally a
+    ``cache_path``), or a precomputed ``critical_value``, which skips the
+    lookup entirely; repeated calls with a ``bridge_cfg`` should pass one of
+    the two, as simulated values are not kept in memory.
     ``alpha`` must lie in (0, 1) even when ``critical_value`` is given.
 
     Ties in the argmax resolve to the smallest k.  The result carries the
     path itself for plotting or export.
     """
     _critval._check_alpha(alpha)
-    ts = as_timeseries(x)
-    path = cusum_path(ts, estimate_longrun_cov(ts, L, cfg), L)
+    values = as_timeseries(x).values
+    # a power of two rescales exactly, and max|x| < 1 keeps fourth-order terms in range
+    ts = as_timeseries(np.ldexp(values, -np.frexp(np.abs(values).max())[1]))
+    path = cusum_path(ts, estimate_longrun_cov(ts, L, beta), L)
     if critical_value is None:
         critical_value = _critval.critical_value(
             L, alpha, bridge_cfg, cache_path=cache_path

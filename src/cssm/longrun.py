@@ -52,32 +52,6 @@ class CovMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Tuning knobs for :func:`estimate_longrun_cov`.
-
-    Attributes
-    ----------
-    beta : float
-        Exponent of the displacement cutoff ``h_n = floor(n**beta)``;
-        must lie in (0, 1/2).  Defaults to 0.3.
-    eps_floor : float or None
-        Absolute eigenvalue floor applied after estimation.  None picks the
-        scale-following ``1e-8 * trace / (L+1)`` of the raw matrix per call;
-        when that trace is not positive it picks ``1e-8 * gamma_hat(0)**2``,
-        and 1e-12 only when that is zero (e.g. an all-zero series).
-    """
-
-    beta: float = 0.3
-    eps_floor: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError(f"beta must be in (0, 0.5), got {self.beta}")
-        if self.eps_floor is not None and not self.eps_floor > 0.0:
-            raise ValueError(f"eps_floor must be positive, got {self.eps_floor}")
-
-
 def truncation_lag(n: int, beta: float) -> int:
     """Displacement cutoff ``floor(n**beta)`` clamped to [1, n-1]."""
     if n < 2:
@@ -124,92 +98,92 @@ def _longrun_terms(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
 
     ``A = P[:n-lag].T @ P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less
     ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper triangular).
-    Needs h_n + L < n.
+    Needs h_n + L < n.  Fourth-order products past the double range raise
+    ValueError, not warnings, also when only their sum over displacements does.
     """
     n = values.size
-    P = np.zeros((n, L + 1))
-    for h in range(L + 1):
-        P[:n - h, h] = values[:n - h] * values[h:]
-    k = np.arange(L + 1)
-    edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
-    A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
-    for lag in range(h_n + 1):
-        np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
-        np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
-    # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
-    sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
-    lags = np.arange(h_n + 1)[:, None, None]
-    counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
-    g = np.array([_autocov(values, h) for h in range(L + 1)])
-    return counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.zeros((n, L + 1))
+        for h in range(L + 1):
+            P[:n - h, h] = values[:n - h] * values[h:]
+        k = np.arange(L + 1)
+        edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
+        A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
+        for lag in range(h_n + 1):
+            np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
+            np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+        # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
+        sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
+        lags = np.arange(h_n + 1)[:, None, None]
+        counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
+        g = np.array([_autocov(values, h) for h in range(L + 1)])
+        terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
+        if not np.isfinite(terms.sum(axis=0)).all():
+            raise ValueError("fourth-order products of the series overflow double precision; "
+                             "rescale the series (e.g. divide it by its standard deviation)")
+    return terms
 
 
 def _raw_longrun(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
-    """Unfloored ``sum_{lag=0..h_n} sigma_bar_{h,k}(lag) / n``, lags 0..L; needs h_n + L < n.
-
-    Fourth-order products past the double range raise ValueError, not warnings.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = _longrun_terms(values, L, h_n).sum(axis=0) / values.size
-    if not np.isfinite(raw).all():
-        raise ValueError("fourth-order products of the series overflow double precision; "
-                         "rescale the series (e.g. divide it by its standard deviation)")
-    return raw
+    """Unfloored ``sum_{lag=0..h_n} sigma_bar_{h,k}(lag) / n``, lags 0..L; needs h_n + L < n."""
+    return _longrun_terms(values, L, h_n).sum(axis=0) / values.size
 
 
-def theta_bar(x, h: int, k: int, cfg: EstimatorConfig | None = None) -> float:
+def theta_bar(x, h: int, k: int, beta: float = 0.3) -> float:
     """Truncated long-run covariance estimate for the (h, k) lag pair.
 
     Sums :func:`sigma_bar` over displacements 0..h_n and divides by n, as the
     unfloored :func:`estimate_longrun_cov` matrix does; symmetric in (h, k).
     """
-    cfg = cfg or EstimatorConfig()
     values = as_timeseries(x).values
     n = values.size
     lo, hi = min(h, k), max(h, k)
     if not 0 <= lo <= hi < n:
         raise ValueError(f"lags must satisfy 0 <= h, k < n, got h={h}, k={k}, n={n}")
-    h_n = truncation_lag(n, cfg.beta)
+    h_n = truncation_lag(n, beta)
     if h_n + hi >= n:
         raise ValueError(f"insufficient data: n={n} but the displacement sum needs "
                          f"n > h_n + max(h, k) = {h_n + hi}")
     return float(_raw_longrun(values, hi, h_n)[lo, hi])
 
 
-def estimate_longrun_cov(x, L: int, cfg: EstimatorConfig | None = None) -> CovMatrix:
+def estimate_longrun_cov(x, L: int, beta: float = 0.3) -> CovMatrix:
     """Estimated long-run covariance matrix of the lag-0..L autocovariances.
 
-    Computes every :func:`theta_bar` entry at once, then floors the
-    eigenvalues at ``cfg.eps_floor`` or the automatic scale-relative floor
-    (see :class:`EstimatorConfig`) so the returned matrix is positive
-    definite.  The statistic stays scale-invariant until fourth powers
-    overflow (values near 1e77).
+    Computes every :func:`theta_bar` entry at once, with displacement cutoff
+    ``h_n = floor(n**beta)`` for ``beta`` in (0, 1/2), then floors the
+    eigenvalues so the returned matrix is positive definite.  The floor,
+    kept in ``eps_floor``, follows the scale of the data: ``1e-8 * trace /
+    (L+1)`` of the raw matrix, or ``1e-8 * gamma_hat(0)**2`` when that trace
+    is not positive, and 1e-12 only when that is zero (an all-zero series).
+    This works in data units: it raises near 1e77 and the floor underflows
+    below about 1e-78; :func:`cssm.cusum.cssm_test` rescales by a power of
+    two first, so the test itself is scale-free across the double range.
 
     Raises
     ------
     ValueError
-        If ``n`` is too small for the truncation lag, naming the minimum
-        usable length, or if the fourth-order products overflow, asking
-        for the series to be rescaled.
+        If ``beta`` is out of range, if ``n`` is too small for the
+        truncation lag, naming the minimum usable length, or if the
+        fourth-order products overflow, asking for the series to be rescaled.
     """
-    cfg = cfg or EstimatorConfig()
     values = as_timeseries(x).values
     n = values.size
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
     if L + 1 > n:
         raise ValueError(f"need L + 1 <= n, got L={L} with n={n}")
-    h_n = truncation_lag(n, cfg.beta)
+    h_n = truncation_lag(n, beta)
     if h_n + L >= n:
         raise ValueError(
-            f"insufficient data: n={n} with L={L}, beta={cfg.beta} needs "
-            f"n > h_n + L = {h_n + L}; minimum usable n is {_min_usable_n(L, cfg.beta)}"
+            f"insufficient data: n={n} with L={L}, beta={beta} needs "
+            f"n > h_n + L = {h_n + L}; minimum usable n is {_min_usable_n(L, beta)}"
         )
     raw = _raw_longrun(values, L, h_n)
     trace = float(np.trace(raw))
     # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
-    floor = cfg.eps_floor or (1e-8 * trace / (L + 1) if trace > 0.0
-                              else (1e-8 * _autocov(values, 0) ** 2 or 1e-12))
+    floor = (1e-8 * trace / (L + 1) if trace > 0.0
+             else (1e-8 * _autocov(values, 0) ** 2 or 1e-12))
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

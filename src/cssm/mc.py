@@ -26,7 +26,7 @@ import numpy as np
 
 from . import critval as _critval
 from .cusum import cssm_test
-from .longrun import EstimatorConfig
+from .longrun import truncation_lag
 from .models import ChangeSpec, ModelSpec, simulate_with_change
 
 DEFAULT_SEED = 12345
@@ -40,7 +40,11 @@ _SEED_STRIDE = 1 << 21
 
 @dataclass(frozen=True)
 class Scenario:
-    """One replicated experiment: a change spec plus test settings."""
+    """One replicated experiment: a change spec plus test settings.
+
+    ``alpha`` and the estimator's cutoff exponent ``beta`` are checked here,
+    so a bad value fails at construction, not as a failure in every replication.
+    """
 
     label: str
     change: ChangeSpec
@@ -49,10 +53,11 @@ class Scenario:
     alpha: float = 0.05
     replications: int = 1000
     seed: int = DEFAULT_SEED
-    cfg: EstimatorConfig = EstimatorConfig()
+    beta: float = 0.3
 
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
+        truncation_lag(self.n, self.beta)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.replications >= _SEED_STRIDE:
@@ -117,7 +122,7 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
                 scenario.change, scenario.n, rep_seed(scenario.seed, r)
             )
             result = cssm_test(
-                series, scenario.L, scenario.cfg, scenario.alpha,
+                series, scenario.L, scenario.beta, scenario.alpha,
                 critical_value=critical_value,
             )
         except (ValueError, FloatingPointError, np.linalg.LinAlgError):
@@ -146,8 +151,8 @@ def _no_change(spec: ModelSpec, k_star: int) -> ChangeSpec:
 
 def table_scenarios(table_id: str, replications: int = 1000,
                     seed: int = DEFAULT_SEED,
-                    cfg: EstimatorConfig = EstimatorConfig()) -> list[Scenario]:
-    """The scenario grid of one study table (see module docstring)."""
+                    beta: float = 0.3) -> list[Scenario]:
+    """The scenario grid of one study table (see module docstring) at cutoff exponent ``beta``."""
     if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
 
@@ -191,16 +196,16 @@ def table_scenarios(table_id: str, replications: int = 1000,
             n=n,
             replications=replications,
             seed=seed + (i + 1) * _SEED_STRIDE,
-            cfg=cfg,
+            beta=beta,
         )
         for i, (label, change, n) in enumerate(entries)
     ]
 
 
 def run_table(table_id: str, replications: int = 1000, seed: int = DEFAULT_SEED,
-              cfg: EstimatorConfig = EstimatorConfig()) -> list[PowerReport]:
-    """Run every scenario of one table and return the reports in grid order."""
-    return [run_scenario(s) for s in table_scenarios(table_id, replications, seed, cfg)]
+              beta: float = 0.3) -> list[PowerReport]:
+    """Run every scenario of one table, at cutoff exponent ``beta``; reports in grid order."""
+    return [run_scenario(s) for s in table_scenarios(table_id, replications, seed, beta)]
 
 
 _CSV_HEADER = (

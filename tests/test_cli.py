@@ -5,6 +5,7 @@ from cssm.cli import main, read_series
 from cssm.critval import BridgeConfig, critical_value
 from cssm.cusum import cssm_test
 from cssm.mc import rep_seed
+from cssm.models import ModelSpec, simulate
 
 from oracles import read_series_reference
 
@@ -84,7 +85,6 @@ class TestSimulate:
             "--n", "300", "--seed", "42", "--out", str(out),
         ])
         assert code == 0
-        from cssm.models import ModelSpec, simulate
         want = simulate(ModelSpec.garch11(0.5, 0.1, 0.2), 300, seed=42)
         np.testing.assert_array_equal(read_series(out), want.values)
 
@@ -188,6 +188,18 @@ class TestDetect:
         res = cssm_test(read_series(sim), 1)
         assert values.max() == res.statistic
         assert float(body[0][2]) == res.critical_value
+
+    def test_tiny_scale_file_matches_unscaled(self, tmp_path, capsys):
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
+        reports = []
+        for name, scale in (("unscaled.txt", 1.0), ("tiny.txt", 1e-90)):
+            f = tmp_path / name
+            f.write_text("\n".join(format(v, ".17g") for v in scale * x))
+            code, out, _ = run_cli("detect", str(f), "--L", "1", capsys=capsys)
+            fields = dict(line.split(": ") for line in out.splitlines())
+            reports.append((code, fields["statistic"], fields["change_index"]))
+        assert reports[0] == reports[1]
+        assert float(reports[0][1]) > 0.0
 
     def test_center_flag_changes_statistic(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cssm.critval import BridgeConfig
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
-from cssm.longrun import CovMatrix, EstimatorConfig, estimate_longrun_cov, theta_bar
+from cssm.longrun import CovMatrix, estimate_longrun_cov, sigma_bar, theta_bar
 from cssm.mc import rep_seed
 from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 
@@ -119,7 +119,7 @@ class TestCusumPathType:
 
 class TestCssmTest:
     def test_zero_series_never_rejects(self):
-        res = cssm_test([0.0] * 200, 1, EstimatorConfig(eps_floor=1e-8))
+        res = cssm_test([0.0] * 200, 1)
         assert res.statistic == 0.0
         assert not res.reject
         assert res.critical_value == 2.408
@@ -147,11 +147,13 @@ class TestCssmTest:
             assert scaled.statistic == pytest.approx(base.statistic, rel=1e-6)
             assert scaled.change_index == base.change_index
 
-    @pytest.mark.parametrize("scale", [1e-4, 1e-40, 1e60])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-90, 1e-40, 1e-4,
+                                       1e60, 1e77, 1e150, 1e300])
     @pytest.mark.parametrize("family", ["arma11", "garch11"])
     @pytest.mark.parametrize("L", [1, 3])
     def test_scale_invariance_across_double_range(self, scale, family, L):
-        # the automatic eigenvalue floor must follow the scale of the data
+        # fourth-order terms of the raw series underflow below about 1e-78
+        # and overflow near 1e77; the test must not see either
         spec = {"arma11": ModelSpec.arma11(0.2, 0.1),
                 "garch11": ModelSpec.garch11(0.5, 0.1, 0.2)}[family]
         x = simulate(spec, 600, seed=42)
@@ -170,13 +172,24 @@ class TestCssmTest:
             assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
             assert scaled.change_index == base.change_index
 
+    def test_power_of_two_scaling_is_bit_exact(self):
+        # at n = 60 the unnormalised arithmetic already changes bits at 2**200
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 60, seed=42).values
+        base = cssm_test(x, 3, critical_value=2.408)
+        for k in (-900, -200, 200, 900):
+            scaled = cssm_test(np.ldexp(x, k), 3, critical_value=2.408)
+            assert scaled.path.values.tobytes() == base.path.values.tobytes()
+
     @pytest.mark.parametrize("scale", [1e77, 1e150, 1e300])
     def test_overflowing_scale_raises_without_warnings(self, scale):
+        # the estimator works in data units; cssm_test rescales before it
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow.*rescale"):
-                cssm_test(scale * x.values, 1)
+                estimate_longrun_cov(scale * x.values, 1)
+            with pytest.raises(ValueError, match="overflow.*rescale"):
+                sigma_bar(scale * x.values, 0, 1, 2)
 
     def test_smallest_argmax_wins_ties(self):
         # an exactly tied path is easiest to force through the path type

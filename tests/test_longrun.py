@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cssm.longrun import (
     CovMatrix,
-    EstimatorConfig,
     _min_usable_n,
     bartlett_linear,
     estimate_longrun_cov,
@@ -15,7 +14,9 @@ from cssm.longrun import (
     theta_bar,
     truncation_lag,
 )
-from cssm.models import ModelSpec, simulate
+from cssm.cusum import cssm_test
+from cssm.mc import Scenario
+from cssm.models import ChangeSpec, ModelSpec, simulate
 
 from oracles import ma1_longrun_matrix, sigma_bar_reference
 
@@ -38,17 +39,17 @@ class TestTruncationLag:
         assert truncation_lag(2, 0.49) == 1
 
 
-class TestEstimatorConfig:
-    def test_defaults(self):
-        cfg = EstimatorConfig()
-        assert cfg.beta == 0.3
-        assert cfg.eps_floor is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(beta=0.6)
-        with pytest.raises(ValueError):
-            EstimatorConfig(eps_floor=0.0)
+class TestBeta:
+    def test_out_of_range_rejected_by_every_entry_point(self):
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 300, seed=1)
+        spec = ModelSpec.arma11(0.2, 0.1)
+        for bad in (0.0, 0.5, -0.1, 0.7):
+            with pytest.raises(ValueError, match="beta"):
+                estimate_longrun_cov(x, 1, bad)
+            with pytest.raises(ValueError, match="beta"):
+                cssm_test(x, 1, bad, critical_value=2.408)
+            with pytest.raises(ValueError, match="beta"):
+                Scenario("bad beta", ChangeSpec(150, spec, spec), 300, beta=bad)
 
 
 class TestSigmaBar:
@@ -128,8 +129,9 @@ class TestEstimateLongrunCov:
             assert cov.min_eigenvalue() >= cov.eps_floor * (1 - 1e-9)
 
     def test_zero_series_gives_floor_identity(self):
-        cov = estimate_longrun_cov([0.0] * 50, 1, EstimatorConfig(eps_floor=1e-6))
-        np.testing.assert_allclose(cov.entries, 1e-6 * np.eye(2), rtol=1e-12)
+        cov = estimate_longrun_cov([0.0] * 50, 1)
+        assert cov.eps_floor == 1e-12
+        np.testing.assert_allclose(cov.entries, 1e-12 * np.eye(2), rtol=1e-12)
 
     def test_zero_series_auto_floor_still_positive(self):
         cov = estimate_longrun_cov([0.0] * 50, 1)
@@ -147,14 +149,11 @@ class TestEstimateLongrunCov:
     def test_matches_sum_of_theta_bars(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal(300)
-        cfg = EstimatorConfig(eps_floor=1e-12)
-        cov = estimate_longrun_cov(x, 1, cfg)
+        cov = estimate_longrun_cov(x, 1)
         # raw entries survive regularization when well-conditioned
         for h in range(2):
             for k in range(2):
-                assert cov.entries[h, k] == pytest.approx(
-                    theta_bar(x, h, k, cfg), abs=1e-10
-                )
+                assert cov.entries[h, k] == pytest.approx(theta_bar(x, h, k), abs=1e-10)
 
 
 class TestEstimatorMatchesLoopOracle:
@@ -164,8 +163,6 @@ class TestEstimatorMatchesLoopOracle:
     (h_n = 1) lag < k - h for the wider pairs, at n = 60 (h_n = 3) lag >= k - h
     for the narrower ones, so both limits are exercised.
     """
-
-    EPS = 1e-12
 
     @staticmethod
     def oracle(x, L: int) -> np.ndarray:
@@ -185,23 +182,25 @@ class TestEstimatorMatchesLoopOracle:
         x = np.random.default_rng(1000 + 10 * L + n).standard_normal(n)
         raw = self.oracle(x, L)
         tol = 1e-9 * np.abs(x).max() ** 4  # rounding scales with the summands
-        # flooring every eigenvalue at EPS is the reference regularization;
-        # on well-conditioned input it leaves the raw matrix unchanged
+        # flooring every eigenvalue at the estimator's automatic floor is the
+        # reference regularization; on well-conditioned input it leaves the
+        # raw matrix unchanged
+        cov = estimate_longrun_cov(x, L)
         w, v = np.linalg.eigh(raw)
-        want = (v * np.maximum(w, self.EPS)) @ v.T
-        cfg = EstimatorConfig(eps_floor=self.EPS)
-        got = estimate_longrun_cov(x, L, cfg).entries
+        want = (v * np.maximum(w, cov.eps_floor)) @ v.T
+        got = cov.entries
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
         for h in range(L + 1):
             for k in range(L + 1):
-                theta = theta_bar(x, h, k, cfg)
+                theta = theta_bar(x, h, k)
                 assert theta == pytest.approx(raw[h, k], rel=0, abs=tol)
-                if w[0] > self.EPS:
+                if w[0] > cov.eps_floor:
                     assert theta == pytest.approx(got[h, k], rel=0, abs=tol)
 
     def test_well_conditioned_case_is_covered(self):
         x = np.random.default_rng(1000 + 10 * 4 + 60).standard_normal(60)
-        assert np.linalg.eigvalsh(self.oracle(x, 4))[0] > self.EPS
+        floor = estimate_longrun_cov(x, 4).eps_floor
+        assert np.linalg.eigvalsh(self.oracle(x, 4))[0] > floor
 
 
 class TestBartlettLinear:

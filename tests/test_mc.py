@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cssm.longrun import EstimatorConfig
 from cssm.mc import (
     PowerReport,
     Scenario,
@@ -42,6 +41,12 @@ class TestScenario:
         before = ModelSpec.arma11(0.2, 0.1)
         with pytest.raises(ValueError, match="alpha"):
             Scenario("bad alpha", ChangeSpec(150, before, before), 300, alpha=alpha)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.1, 0.7])
+    def test_rejects_beta_outside_open_half_interval(self, beta):
+        before = ModelSpec.arma11(0.2, 0.1)
+        with pytest.raises(ValueError, match="beta"):
+            Scenario("bad beta", ChangeSpec(150, before, before), 300, beta=beta)
 
 
 class TestRunScenario:
