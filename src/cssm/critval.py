@@ -6,7 +6,10 @@ This module ships the one tabulated quantile the statistic is normally
 compared against, (L=1, alpha=0.05) -> 2.408, and simulates everything
 else on demand: bridges are built on a uniform grid from Gaussian random
 walks via ``B(t) = W(t) - t W(1)``, and the empirical quantile of the
-per-replication suprema is returned.
+per-replication suprema is returned.  Replications run in fixed batches
+of 512, each from its own spawned stream, on up to two threads by
+default; the output depends only on (L, grid, replications, seed), never
+on the thread count.
 
 Simulated values can be cached in an append-only text file, one record
 per line: ``L alpha grid replications seed c_value``.  Nothing is kept in
@@ -17,6 +20,8 @@ memory, so repeated calls with a :class:`BridgeConfig` should pass
 from __future__ import annotations
 
 import math
+import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,6 +33,12 @@ import numpy as np
 # spawned stream, so results depend only on (L, grid, replications, seed) and
 # never on scheduling or worker count.
 _BATCH_SIZE = 512
+
+# Default thread cap.  Each thread holds one batch buffer and a scratch row
+# block, 33 MB at L=2 and grid 2000: 2000 replications there peak at 99 MB
+# of RSS on two threads but 160 MB on four, above the 129 MB of the serial
+# kernel that made a full-size temporary per step.
+_DEFAULT_WORKERS = 2
 
 _cache_lock = threading.Lock()
 
@@ -65,43 +76,80 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
-                  grid_points: int) -> np.ndarray:
+                  grid_points: int, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """(reps, n_bridges, grid_points) bridge values on t_i = i/m, i = 1..m.
 
     Each bridge is W(t) - t W(1) with W a Gaussian random walk of step
-    variance 1/m, so the endpoint value is exactly zero.
+    variance 1/m, so the endpoint value is exactly zero.  Draw, scaling,
+    cumulative sum and endpoint correction all work in one buffer,
+    ``out`` if given, with a (reps, m) ``scratch`` for the correction.
     """
     m = grid_points
-    steps = rng.standard_normal((reps, n_bridges, m)) * (1.0 / math.sqrt(m))
-    walk = np.cumsum(steps, axis=2)
+    buf = np.empty((reps, n_bridges, m)) if out is None else out
+    tmp = np.empty((reps, m)) if scratch is None else scratch
+    rng.standard_normal(out=buf)
+    buf *= 1.0 / math.sqrt(m)
+    np.cumsum(buf, axis=2, out=buf)
     t = np.arange(1, m + 1) / m
-    return walk - t * walk[:, :, -1:]
+    for j in range(n_bridges):
+        np.multiply(t, buf[:, j, -1:], out=tmp)
+        buf[:, j] -= tmp
+    return buf
 
 
-def _sup_batch(rng: np.random.Generator, reps: int, L: int,
-               grid_points: int) -> np.ndarray:
-    paths = _bridge_paths(rng, reps, L + 1, grid_points)
-    square_sum = np.einsum("rjm,rjm->rm", paths, paths)
+def _sup_batch(rng: np.random.Generator, reps: int, L: int, grid_points: int,
+               buf: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Suprema of one batch, computed in the caller's buffers (sliced to ``reps``)."""
+    paths = _bridge_paths(rng, reps, L + 1, grid_points, buf[:reps], scratch[:reps])
+    square_sum = np.einsum("rjm,rjm->rm", paths, paths, out=scratch[:reps])
     return square_sum.max(axis=1)
 
 
-def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int = 1) -> np.ndarray:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -> np.ndarray:
     """One supremum of ``sum_{j=0..L} B_j(t)^2`` per replication.
 
-    Deterministic given the config; ``workers`` only parallelizes the
-    fixed batches and never changes the output.
+    Deterministic given the config.  ``workers`` threads share the fixed
+    batches (default: the usable CPUs, at most two; never more than the
+    batch count); it never changes the output.
     """
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     reps = cfg.replications
     n_batches = (reps + _BATCH_SIZE - 1) // _BATCH_SIZE
     sizes = [min(_BATCH_SIZE, reps - b * _BATCH_SIZE) for b in range(n_batches)]
+    if workers is None:
+        workers = min(_usable_cpus(), _DEFAULT_WORKERS)
+    workers = min(workers, n_batches)
+
+    # One buffer pair per thread, allocated on this thread and reused for
+    # every batch: worker threads then allocate nothing large, so no
+    # per-thread malloc arena keeps freed batches resident (peak RSS would
+    # otherwise vary from call to call by up to a batch).
+    spare = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put((np.empty((sizes[0], L + 1, cfg.grid_points)),
+                   np.empty((sizes[0], cfg.grid_points))))
 
     def run(b: int) -> np.ndarray:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
-        return _sup_batch(np.random.default_rng(seq), sizes[b], L, cfg.grid_points)
+        work = spare.get()
+        try:
+            return _sup_batch(np.random.default_rng(seq), sizes[b], L, cfg.grid_points, *work)
+        finally:
+            spare.put(work)
 
-    if workers <= 1:
+    if workers == 1:
         parts = [run(b) for b in range(n_batches)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

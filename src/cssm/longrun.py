@@ -155,17 +155,19 @@ def estimate_longrun_cov(x, L: int, beta: float = 0.3) -> CovMatrix:
     eigenvalues so the returned matrix is positive definite.  The floor,
     kept in ``eps_floor``, follows the scale of the data: ``1e-8 * trace /
     (L+1)`` of the raw matrix, or ``1e-8 * gamma_hat(0)**2`` when that trace
-    is not positive, and 1e-12 only when that is zero (an all-zero series).
-    This works in data units: it raises near 1e77 and the floor underflows
-    below about 1e-78; :func:`cssm.cusum.cssm_test` rescales by a power of
-    two first, so the test itself is scale-free across the double range.
+    is not positive, and 1e-12 for an all-zero series.  This works in data
+    units: it raises when the fourth-order products overflow (near 1e77)
+    or when the floor of a nonzero series underflows to a subnormal value
+    (below about 1e-75); :func:`cssm.cusum.cssm_test` rescales by a power
+    of two first, so the test itself is scale-free across the double range.
 
     Raises
     ------
     ValueError
         If ``beta`` is out of range, if ``n`` is too small for the
         truncation lag, naming the minimum usable length, or if the
-        fourth-order products overflow, asking for the series to be rescaled.
+        fourth-order products overflow or underflow, asking for the series
+        to be rescaled.
     """
     values = as_timeseries(x).values
     n = values.size
@@ -182,8 +184,12 @@ def estimate_longrun_cov(x, L: int, beta: float = 0.3) -> CovMatrix:
     raw = _raw_longrun(values, L, h_n)
     trace = float(np.trace(raw))
     # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
-    floor = (1e-8 * trace / (L + 1) if trace > 0.0
-             else (1e-8 * _autocov(values, 0) ** 2 or 1e-12))
+    floor = 1e-8 * trace / (L + 1) if trace > 0.0 else 1e-8 * _autocov(values, 0) ** 2
+    if floor < np.finfo(np.float64).tiny:
+        if values.any():
+            raise ValueError("fourth-order products of the series underflow double precision; "
+                             "rescale the series (e.g. divide it by its standard deviation)")
+        floor = 1e-12  # the all-zero series has no scale at all
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

@@ -1,13 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written as literal, loop-based transcriptions of the
-defining formulas, kept deliberately separate from the optimized library
-code paths they are used to check.
+defining formulas, or as the plain array code an optimized kernel
+replaced, kept deliberately separate from the optimized library code
+paths they are used to check.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 # 95% quantile of the Kolmogorov sup|bridge| distribution, squared: the
 # L=0 limit law quantile.
@@ -116,3 +119,19 @@ def cusum_sq_l0_reference(x) -> tuple[float, int]:
         if stat > best_val:
             best_val, best_k = stat, k
     return best_val, best_k
+
+
+def bridge_paths_reference(rng: np.random.Generator, reps: int, n_bridges: int,
+                           grid_points: int) -> np.ndarray:
+    """(reps, n_bridges, grid_points) bridge values on t_i = i/m, i = 1..m.
+
+    Each bridge is W(t) - t W(1) with W a Gaussian random walk of step
+    variance 1/m, so the endpoint value is exactly zero.  One temporary
+    per step; the in-place ``cssm.critval._bridge_paths`` must match it
+    bit for bit.
+    """
+    m = grid_points
+    steps = rng.standard_normal((reps, n_bridges, m)) * (1.0 / math.sqrt(m))
+    walk = np.cumsum(steps, axis=2)
+    t = np.arange(1, m + 1) / m
+    return walk - t * walk[:, :, -1:]

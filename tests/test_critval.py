@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cssm.critval
 from cssm.critval import (
     BUILTIN_TABLE,
     BridgeConfig,
@@ -14,7 +15,7 @@ from cssm.critval import (
     sup_quantile,
 )
 
-from oracles import KOLMOGOROV_95_SQUARED
+from oracles import KOLMOGOROV_95_SQUARED, bridge_paths_reference
 
 
 class TestBridgeConfig:
@@ -51,6 +52,86 @@ class TestBridgeConstruction:
         sups = simulate_bridge_sup(0, BridgeConfig(100, 1000, 3))
         assert (sups >= 0.0).all()
         assert (sups > 0.0).all()  # zero sup has probability zero
+
+
+class TestMatchesReferenceKernel:
+    @pytest.mark.parametrize("reps, n_bridges, grid", [(300, 2, 128), (513, 1, 100),
+                                                       (64, 5, 2000)])
+    def test_bridge_paths_bitwise(self, reps, n_bridges, grid):
+        got = _bridge_paths(np.random.default_rng(reps), reps, n_bridges, grid)
+        want = bridge_paths_reference(np.random.default_rng(reps), reps, n_bridges, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_bridge_paths_into_reused_buffers_bitwise(self):
+        # simulate_bridge_sup hands each batch slices of buffers that hold
+        # the previous batch; nothing of it may leak into the result
+        buf, scratch = np.full((512, 3, 200), np.nan), np.full((512, 200), np.nan)
+        got = _bridge_paths(np.random.default_rng(5), 300, 3, 200, buf[:300], scratch[:300])
+        want = bridge_paths_reference(np.random.default_rng(5), 300, 3, 200)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 4])
+    def test_default_workers_match_serial_bitwise(self, L, monkeypatch):
+        # as on a many-CPU host, so the default runs threaded even on one CPU
+        monkeypatch.setattr(cssm.critval, "_usable_cpus", lambda: 64)
+        cfg = BridgeConfig(137, 1500, 17 + L)
+        default = simulate_bridge_sup(L, cfg)
+        serial = simulate_bridge_sup(L, cfg, workers=1)
+        assert default.tobytes() == serial.tobytes()
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers``, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes requested by simulate_bridge_sup; no thread is started."""
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cssm.critval, "ThreadPoolExecutor", _SerialPool)
+    return _SerialPool.sizes
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -1, -8])
+    def test_nonpositive_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_bridge_sup(0, BridgeConfig(100, 1000, 3), workers=workers)
+
+    def test_pool_never_exceeds_batch_count(self, pool_sizes):
+        cfg = BridgeConfig(100, 1500, 3)  # 3 batches of at most 512
+        got = simulate_bridge_sup(0, cfg, workers=10 ** 6)
+        assert pool_sizes == [3]
+        assert got.tobytes() == simulate_bridge_sup(0, cfg, workers=1).tobytes()
+
+    def test_default_is_usable_cpus_at_most_two(self, pool_sizes, monkeypatch):
+        cfg = BridgeConfig(100, 1500, 3)
+        for cpus in (2, 3, 64):
+            monkeypatch.setattr(cssm.critval, "_usable_cpus", lambda: cpus)
+            simulate_bridge_sup(0, cfg)
+        assert pool_sizes == [2, 2, 2]
+
+    def test_one_worker_runs_on_the_calling_thread(self, pool_sizes, monkeypatch):
+        cfg = BridgeConfig(100, 1500, 3)
+        simulate_bridge_sup(0, cfg, workers=1)
+        monkeypatch.setattr(cssm.critval, "_usable_cpus", lambda: 1)
+        simulate_bridge_sup(0, cfg)
+        assert pool_sizes == []
 
 
 class TestReproducibility:

@@ -133,6 +133,22 @@ class TestEstimateLongrunCov:
         assert cov.eps_floor == 1e-12
         np.testing.assert_allclose(cov.entries, 1e-12 * np.eye(2), rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-76, 1e-80, 1e-90, 1e-150, 1e-300])
+    def test_underflowing_scale_raises(self, scale):
+        # the floor of a nonzero series must not underflow to 0, a subnormal
+        # value, or the all-zero series' absolute 1e-12
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
+        for L in (1, 3):
+            with pytest.raises(ValueError, match="underflow.*rescale"):
+                estimate_longrun_cov(scale * x, L)
+
+    def test_smallest_normal_floor_still_works(self):
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
+        base = estimate_longrun_cov(x, 1)
+        cov = estimate_longrun_cov(1e-74 * x, 1)
+        assert cov.eps_floor >= np.finfo(np.float64).tiny
+        np.testing.assert_allclose(cov.entries, 1e-296 * base.entries, rtol=1e-9)
+
     def test_zero_series_auto_floor_still_positive(self):
         cov = estimate_longrun_cov([0.0] * 50, 1)
         assert cov.min_eigenvalue() > 0.0
