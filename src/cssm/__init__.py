@@ -10,7 +10,6 @@ m-dependent products, ...).
 from .autocov import (
     TimeSeries,
     as_timeseries,
-    circular_autocov,
     prefix_autocovs,
     sample_autocov,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "TimeSeries",
     "as_timeseries",
     "bartlett_linear",
-    "circular_autocov",
     "critical_value",
     "cssm_test",
     "cusum_path",

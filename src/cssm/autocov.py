@@ -78,13 +78,6 @@ def sample_autocov(x, h: int) -> float:
     return _autocov(values, h)
 
 
-# The lag-h autocovariance with the sum over all n starting points: terms
-# past the end of the series are dropped and the divisor stays n, so on a
-# finite sample it is exactly sample_autocov.  The long-run variance
-# estimator is defined in terms of this variant, hence the second name.
-circular_autocov = sample_autocov
-
-
 def prefix_autocovs(x, L: int) -> np.ndarray:
     """Autocovariances at lags 0..L of every prefix ``x[:k]``, k = L+1..n; needs L < n.
 

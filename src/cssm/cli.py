@@ -135,7 +135,8 @@ def cmd_critval(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    reports = run_table(args.table, args.reps, args.seed, args.beta)
+    reports = [rep for table in args.table
+               for rep in run_table(table, args.reps, args.seed, args.beta)]
     write_reports_csv(reports, args.out)
     for rep in reports:
         print(f"{rep.scenario.label}: power={rep.power:.3f} "
@@ -199,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_critval_flags(p_cv)
     p_cv.set_defaults(func=cmd_critval)
 
-    p_pow = sub.add_parser("power", help="run a power-study table")
-    p_pow.add_argument("--table", required=True, choices=list(TABLE_IDS))
+    p_pow = sub.add_parser("power", help="run power-study tables into one CSV")
+    p_pow.add_argument("--table", required=True, nargs="+", choices=list(TABLE_IDS),
+                       help="one or more table ids, run in the order given")
     p_pow.add_argument("--reps", type=int, default=1000)
     p_pow.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_pow.add_argument("--beta", type=float, default=0.3)

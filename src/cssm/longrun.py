@@ -23,6 +23,9 @@ import numpy as np
 
 from .autocov import _autocov, as_timeseries
 
+_RESCALE = ("fourth-order products of the series {} double precision; "
+            "rescale the series (e.g. divide it by its standard deviation)")
+
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
@@ -79,7 +82,9 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
     dropped and the mean divides by the retained count.  The value is one
     entry of the term array that :func:`estimate_longrun_cov` sums.
 
-    Requires ``0 <= h <= k < n`` and ``0 <= lag < n``.
+    Requires ``0 <= h <= k < n`` and ``0 <= lag < n``; raises ValueError,
+    as :func:`estimate_longrun_cov` does, when the fourth-order products of
+    the lags 0..k over displacements 0..lag overflow or underflow.
     """
     values = as_timeseries(x).values
     n = values.size
@@ -90,16 +95,21 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
     if n - lag - k < 1:
         raise ValueError(f"displacement {lag} leaves no complete products "
                          f"for (h={h}, k={k}, n={n})")
-    return float(_longrun_terms(values, k, lag)[lag, h, k])
+    return float(_longrun_terms(values, k, lag)[0][lag, h, k])
 
 
-def _longrun_terms(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
-    """``sigma_bar_{h,k}(lag)`` for lags 0..L and displacements 0..h_n, shape (h_n+1, L+1, L+1).
+def _longrun_terms(values: np.ndarray, L: int,
+                   h_n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """``sigma_bar_{h,k}(lag)`` for lags 0..L and displacements 0..h_n, their sum and its floor.
 
-    ``A = P[:n-lag].T @ P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less
-    ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper triangular).
-    Needs h_n + L < n.  Fourth-order products past the double range raise
-    ValueError, not warnings, also when only their sum over displacements does.
+    Returns the (h_n+1, L+1, L+1) term array, the unfloored estimate (the terms
+    summed over displacements, divided by n) and the eigenvalue floor of that
+    estimate that :func:`estimate_longrun_cov` documents.  ``A = P[:n-lag].T @
+    P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less ``cut``, the rows
+    ``i >= n-lag-k`` among the last L (strictly upper triangular).  Needs h_n + L
+    < n.  Fourth-order products past the double range raise ValueError, not
+    warnings, also when only their sum over displacements does; so does a floor
+    that underflows for a nonzero series.
     """
     n = values.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,15 +128,17 @@ def _longrun_terms(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
         counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
         g = np.array([_autocov(values, h) for h in range(L + 1)])
         terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
-        if not np.isfinite(terms.sum(axis=0)).all():
-            raise ValueError("fourth-order products of the series overflow double precision; "
-                             "rescale the series (e.g. divide it by its standard deviation)")
-    return terms
-
-
-def _raw_longrun(values: np.ndarray, L: int, h_n: int) -> np.ndarray:
-    """Unfloored ``sum_{lag=0..h_n} sigma_bar_{h,k}(lag) / n``, lags 0..L; needs h_n + L < n."""
-    return _longrun_terms(values, L, h_n).sum(axis=0) / values.size
+        raw = terms.sum(axis=0) / n
+        if not np.isfinite(raw).all():
+            raise ValueError(_RESCALE.format("overflow"))
+    trace = float(np.trace(raw))
+    # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
+    floor = 1e-8 * trace / (L + 1) if trace > 0.0 else 1e-8 * float(g[0]) ** 2
+    if floor < np.finfo(np.float64).tiny:
+        if values.any():
+            raise ValueError(_RESCALE.format("underflow"))
+        floor = 1e-12  # the all-zero series has no scale at all
+    return terms, raw, floor
 
 
 def theta_bar(x, h: int, k: int, beta: float = 0.3) -> float:
@@ -134,6 +146,8 @@ def theta_bar(x, h: int, k: int, beta: float = 0.3) -> float:
 
     Sums :func:`sigma_bar` over displacements 0..h_n and divides by n, as the
     unfloored :func:`estimate_longrun_cov` matrix does; symmetric in (h, k).
+    Raises ValueError where that matrix would: on insufficient data, or when
+    the fourth-order products overflow or underflow.
     """
     values = as_timeseries(x).values
     n = values.size
@@ -144,7 +158,7 @@ def theta_bar(x, h: int, k: int, beta: float = 0.3) -> float:
     if h_n + hi >= n:
         raise ValueError(f"insufficient data: n={n} but the displacement sum needs "
                          f"n > h_n + max(h, k) = {h_n + hi}")
-    return float(_raw_longrun(values, hi, h_n)[lo, hi])
+    return float(_longrun_terms(values, hi, h_n)[1][lo, hi])
 
 
 def estimate_longrun_cov(x, L: int, beta: float = 0.3) -> CovMatrix:
@@ -181,15 +195,7 @@ def estimate_longrun_cov(x, L: int, beta: float = 0.3) -> CovMatrix:
             f"insufficient data: n={n} with L={L}, beta={beta} needs "
             f"n > h_n + L = {h_n + L}; minimum usable n is {_min_usable_n(L, beta)}"
         )
-    raw = _raw_longrun(values, L, h_n)
-    trace = float(np.trace(raw))
-    # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
-    floor = 1e-8 * trace / (L + 1) if trace > 0.0 else 1e-8 * _autocov(values, 0) ** 2
-    if floor < np.finfo(np.float64).tiny:
-        if values.any():
-            raise ValueError("fourth-order products of the series underflow double precision; "
-                             "rescale the series (e.g. divide it by its standard deviation)")
-        floor = 1e-12  # the all-zero series has no scale at all
+    _, raw, floor = _longrun_terms(values, L, h_n)
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cssm.autocov import (
     TimeSeries,
     as_timeseries,
-    circular_autocov,
     prefix_autocovs,
     sample_autocov,
 )
@@ -56,6 +55,7 @@ class TestTimeSeries:
 class TestSampleAutocov:
     def test_alternating_lag0(self):
         assert sample_autocov([1, -1, 1, -1], 0) == 1.0
+        assert sample_autocov([2, 0, 2, 0], 0) == 2.0
 
     def test_alternating_lag1(self):
         assert sample_autocov([1, -1, 1, -1], 1) == -0.75
@@ -64,6 +64,7 @@ class TestSampleAutocov:
         assert sample_autocov([0, 0, 0, 0, 0], 2) == 0.0
 
     def test_lag_out_of_range(self):
+        assert sample_autocov([1, 2, 3], 2) == 1.0  # the largest lag, n - 1, is in range
         with pytest.raises(ValueError, match="lag"):
             sample_autocov([1.0, 2.0], 2)
         with pytest.raises(ValueError, match="lag"):
@@ -76,19 +77,6 @@ class TestSampleAutocov:
         got = sample_autocov(xs, h)
         want = autocov_reference(xs, h)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-
-class TestCircularAutocov:
-    def test_equals_sample_variant_examples(self):
-        assert circular_autocov([1, -1, 1, -1], 1) == -0.75
-        assert circular_autocov([2, 0, 2, 0], 0) == 2.0
-        assert circular_autocov([1, 2, 3], 2) == 1.0
-
-    @given(series_lists, st.integers(min_value=0, max_value=10))
-    def test_identical_to_sample_autocov(self, xs, h):
-        if h >= len(xs):
-            h = len(xs) - 1
-        assert circular_autocov(xs, h) == sample_autocov(xs, h)
 
 
 class TestAutocovProperties:

@@ -242,3 +242,19 @@ class TestPowerCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("scenario,")
+
+    def test_several_tables_concatenate_into_one_csv(self, tmp_path, capsys):
+        # one header, then each table's rows in the order given; every
+        # column but the last (wall_time_ms) matches the single-table runs
+        rows = {}
+        for tables in (("T2b", "T2a"), ("T2b",), ("T2a",)):
+            out_csv = tmp_path / ("_".join(tables) + ".csv")
+            code, _, _ = run_cli(
+                "power", "--table", *tables, "--reps", "4", "--seed", "3",
+                "--out", str(out_csv), capsys=capsys,
+            )
+            assert code == 0
+            rows[tables] = [line.rsplit(",", 1)[0]
+                            for line in out_csv.read_text().splitlines()]
+        assert len(rows["T2b", "T2a"]) == 9
+        assert rows["T2b", "T2a"] == rows["T2b",] + rows["T2a",][1:]

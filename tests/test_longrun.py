@@ -88,7 +88,15 @@ class TestSigmaBar:
         h, k = min(h, k), max(h, k)
         if len(xs) - lag - k < 1:
             lag = 0
-        got = sigma_bar(xs, h, k, lag)
+        m = max(map(abs, xs))
+        try:
+            got = sigma_bar(xs, h, k, lag)
+        except ValueError as exc:
+            # only a nonzero series of tiny values (fourth-order products below
+            # the double range) may raise, and only the rescale error
+            assert "underflow" in str(exc) and m < 1e-60
+            return
+        assert not 0.0 < m < 1e-80, "an underflowing series must raise, not return"
         want = sigma_bar_reference(xs, h, k, lag)
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -141,6 +149,18 @@ class TestEstimateLongrunCov:
         for L in (1, 3):
             with pytest.raises(ValueError, match="underflow.*rescale"):
                 estimate_longrun_cov(scale * x, L)
+
+    def test_theta_bar_and_sigma_bar_raise_where_the_matrix_underflows(self):
+        # one guard for all three: no silent 0.0 or subnormal entries
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
+        for scale in (1e-80, 1e-90):
+            with pytest.raises(ValueError, match="underflow.*rescale"):
+                theta_bar(scale * x, 0, 1)
+            with pytest.raises(ValueError, match="underflow.*rescale"):
+                sigma_bar(scale * x, 0, 1, 2)
+        assert theta_bar(1e-74 * x, 0, 1) == pytest.approx(1e-296 * theta_bar(x, 0, 1), rel=1e-9)
+        assert sigma_bar(1e-74 * x, 0, 1, 2) == pytest.approx(1e-296 * sigma_bar(x, 0, 1, 2),
+                                                              rel=1e-9)
 
     def test_smallest_normal_floor_still_works(self):
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
