@@ -31,7 +31,8 @@ def read_series(path) -> np.ndarray:
     """
     # Text mode folds "\r\n" and "\r" into "\n"; split on "\n" alone, as
     # line iteration does (str.splitlines would also split on "\x0c" etc.).
-    with open(path, "r", encoding="utf-8") as fh:
+    # "utf-8-sig" drops a leading byte-order mark, as some editors write one.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     data = [text for text in map(str.strip, lines) if text and text[0] != "#"]
     try:
@@ -68,12 +69,11 @@ def _parse_params(text: str) -> tuple[float, ...]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     family = Family(args.family)
-    spec = ModelSpec(family, _parse_params(args.params), args.noise_sigma)
+    spec = ModelSpec(family, _parse_params(args.params))
     if args.change_at is not None:
         if args.params_after is None:
             raise ValueError("--change-at requires --params-after")
-        after = ModelSpec(family, _parse_params(args.params_after),
-                          args.noise_sigma)
+        after = ModelSpec(family, _parse_params(args.params_after))
         series = simulate_with_change(
             ChangeSpec(args.change_at, spec, after), args.n, args.seed, args.burn_in
         )
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated family parameters, e.g. '0.2,0.1'")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--noise-sigma", type=float, default=1.0)
     p_sim.add_argument("--burn-in", type=int, default=500)
     p_sim.add_argument("--change-at", type=int, default=None,
                        help="introduce a parameter change after this observation")

@@ -42,8 +42,8 @@ _SEED_STRIDE = 1 << 21
 class Scenario:
     """One replicated experiment: a change spec plus test settings.
 
-    ``alpha`` and the estimator's cutoff exponent ``beta`` are checked here,
-    so a bad value fails at construction, not as a failure in every replication.
+    ``alpha``, the estimator's cutoff exponent ``beta`` and ``seed`` are checked
+    here, so a bad value fails at construction, not in every replication.
     """
 
     label: str
@@ -58,6 +58,8 @@ class Scenario:
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
         truncation_lag(self.n, self.beta)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.replications >= _SEED_STRIDE:

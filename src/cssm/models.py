@@ -1,7 +1,8 @@
 """Simulators for the four model families used in the power studies.
 
 Families: ARMA(1,1), MA(2), a 2-dependent product of three consecutive
-innovations, and GARCH(1,1), all driven by i.i.d. Gaussian innovations.
+innovations, and GARCH(1,1), all driven by i.i.d. standard normal
+innovations (the product model shifts and scales them by mu_z and sigma_z).
 A change point is introduced by switching the parameter set mid-series
 while carrying the recursion state (lagged observations, innovations and
 conditional variances) across the break, so the parameter change is the
@@ -42,14 +43,11 @@ class ModelSpec:
 
     ``params`` is family-specific: (phi, theta) for ARMA11, (theta1,
     theta2) for MA2, (mu_z, sigma_z) for PRODUCT2DEP, (omega, alpha, beta)
-    for GARCH11.  ``noise_sigma`` is the innovation standard deviation for
-    ARMA11/MA2/GARCH11; the PRODUCT2DEP innovation law is fully set by
-    (mu_z, sigma_z), so there noise_sigma must stay at 1.
+    for GARCH11.
     """
 
     family: Family
     params: tuple[float, ...]
-    noise_sigma: float = 1.0
 
     def __post_init__(self) -> None:
         family = Family(self.family)
@@ -64,18 +62,10 @@ class ModelSpec:
             )
         if not all(math.isfinite(p) for p in params):
             raise ValueError("model parameters must be finite")
-        if not self.noise_sigma > 0.0:
-            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
         if family is Family.ARMA11 and not abs(params[0]) < 1.0:
             raise ValueError(f"ARMA(1,1) needs |phi| < 1, got phi={params[0]}")
-        if family is Family.PRODUCT2DEP:
-            if not params[1] > 0.0:
-                raise ValueError(f"sigma_z must be positive, got {params[1]}")
-            if self.noise_sigma != 1.0:
-                raise ValueError(
-                    "product2dep sets the innovation scale through sigma_z; "
-                    "leave noise_sigma at 1"
-                )
+        if family is Family.PRODUCT2DEP and not params[1] > 0.0:
+            raise ValueError(f"sigma_z must be positive, got {params[1]}")
         if family is Family.GARCH11:
             omega, alpha, beta = params
             if not omega > 0.0:
@@ -89,21 +79,20 @@ class ModelSpec:
                 )
 
     @classmethod
-    def arma11(cls, phi: float, theta: float, noise_sigma: float = 1.0) -> "ModelSpec":
-        return cls(Family.ARMA11, (phi, theta), noise_sigma)
+    def arma11(cls, phi: float, theta: float) -> "ModelSpec":
+        return cls(Family.ARMA11, (phi, theta))
 
     @classmethod
-    def ma2(cls, theta1: float, theta2: float, noise_sigma: float = 1.0) -> "ModelSpec":
-        return cls(Family.MA2, (theta1, theta2), noise_sigma)
+    def ma2(cls, theta1: float, theta2: float) -> "ModelSpec":
+        return cls(Family.MA2, (theta1, theta2))
 
     @classmethod
     def product2dep(cls, mu_z: float = 0.0, sigma_z: float = 1.0) -> "ModelSpec":
         return cls(Family.PRODUCT2DEP, (mu_z, sigma_z))
 
     @classmethod
-    def garch11(cls, omega: float, alpha: float, beta: float,
-                noise_sigma: float = 1.0) -> "ModelSpec":
-        return cls(Family.GARCH11, (omega, alpha, beta), noise_sigma)
+    def garch11(cls, omega: float, alpha: float, beta: float) -> "ModelSpec":
+        return cls(Family.GARCH11, (omega, alpha, beta))
 
     def describe(self) -> str:
         names = _PARAM_NAMES[self.family]
@@ -133,69 +122,44 @@ class ChangeSpec:
             )
 
 
-def _segment(before: float, after: float, split: int, total: int) -> np.ndarray:
-    out = np.full(total, after, dtype=np.float64)
-    out[:split] = before
-    return out
-
-
-def _sim_arma11(before: ModelSpec, after: ModelSpec, split: int, total: int,
-                rng: np.random.Generator) -> np.ndarray:
-    phi = _segment(before.params[0], after.params[0], split, total)
-    theta = _segment(before.params[1], after.params[1], split, total)
-    sigma = _segment(before.noise_sigma, after.noise_sigma, split, total)
-    z = sigma * rng.standard_normal(total)
-    z_lag = np.zeros(total)
-    z_lag[1:] = z[:-1]
-    drive = (z + theta * z_lag).tolist()
-    phi_list = phi.tolist()
-    out = [0.0] * total
+def _sim_arma11(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    phi, theta = params.T
+    z = rng.standard_normal(len(params))
+    drive = z + theta * np.concatenate(([0.0], z[:-1]))
+    out = []
     prev = 0.0
-    for t in range(total):
-        prev = phi_list[t] * prev + drive[t]
-        out[t] = prev
+    for phi_t, drive_t in zip(phi.tolist(), drive.tolist()):
+        prev = phi_t * prev + drive_t
+        out.append(prev)
     return np.asarray(out)
 
 
-def _sim_ma2(before: ModelSpec, after: ModelSpec, split: int, total: int,
-             rng: np.random.Generator) -> np.ndarray:
-    theta1 = _segment(before.params[0], after.params[0], split, total)
-    theta2 = _segment(before.params[1], after.params[1], split, total)
-    sigma = _segment(before.noise_sigma, after.noise_sigma, split, total)
-    z = sigma * rng.standard_normal(total)
-    z1 = np.zeros(total)
-    z1[1:] = z[:-1]
-    z2 = np.zeros(total)
-    z2[2:] = z[:-2]
-    return z + theta1 * z1 + theta2 * z2
+def _sim_ma2(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    theta1, theta2 = params.T
+    z = rng.standard_normal(len(params))
+    padded = np.concatenate(([0.0, 0.0], z))
+    return z + theta1 * padded[1:-1] + theta2 * padded[:-2]
 
 
-def _sim_product2dep(before: ModelSpec, after: ModelSpec, split: int, total: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def _sim_product2dep(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # Two pre-sample innovations feed the first product; they precede the
-    # break, so they always draw from the pre-break law.
-    mu = _segment(before.params[0], after.params[0], split + 2, total + 2)
-    sigma = _segment(before.params[1], after.params[1], split + 2, total + 2)
-    z = mu + sigma * rng.standard_normal(total + 2)
+    # break, so they always draw from the pre-break law of row 0.
+    mu, sigma = np.concatenate((params[:1], params[:1], params)).T
+    z = mu + sigma * rng.standard_normal(len(mu))
     return z[2:] * z[1:-1] * z[:-2]
 
 
-def _sim_garch11(before: ModelSpec, after: ModelSpec, split: int, total: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    omega = _segment(before.params[0], after.params[0], split, total).tolist()
-    alpha = _segment(before.params[1], after.params[1], split, total).tolist()
-    beta = _segment(before.params[2], after.params[2], split, total).tolist()
-    sigma = _segment(before.noise_sigma, after.noise_sigma, split, total)
-    z = (sigma * rng.standard_normal(total)).tolist()
+def _sim_garch11(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    steps = zip(*params.T.tolist(), rng.standard_normal(len(params)).tolist())
     # Start from the stationary variance of the pre-break parameters.
-    var = before.params[0] / (1.0 - before.params[1] - before.params[2])
-    out = [0.0] * total
-    prev = 0.0
-    for t in range(total):
-        if t > 0:
-            var = omega[t] + alpha[t] * prev * prev + beta[t] * var
-        prev = math.sqrt(var) * z[t]
-        out[t] = prev
+    omega, alpha, beta, e = next(steps)
+    var = omega / (1.0 - alpha - beta)
+    prev = math.sqrt(var) * e
+    out = [prev]
+    for omega, alpha, beta, e in steps:
+        var = omega + alpha * prev * prev + beta * var
+        prev = math.sqrt(var) * e
+        out.append(prev)
     return np.asarray(out)
 
 
@@ -213,10 +177,10 @@ def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
         raise ValueError(f"n must be >= 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    total = burn_in + n
-    split = burn_in + k_star
-    rng = np.random.default_rng(seed)
-    path = _SIMULATORS[before.family](before, after, split, total, rng)
+    # Row t holds step t's parameters; the first burn_in + k_star precede the break.
+    params = np.repeat([before.params, after.params],
+                       [burn_in + k_star, n - k_star], axis=0)
+    path = _SIMULATORS[before.family](params, np.random.default_rng(seed))
     return TimeSeries(path[burn_in:])
 
 

@@ -68,10 +68,11 @@ def read_series_reference(path) -> list[float]:
     """Per-line parse of a one-value-per-line file, raising on the first bad line.
 
     Blank lines and lines starting with '#' (after stripping) are skipped;
-    lines are what text-mode iteration yields.
+    lines are what text-mode iteration yields, after a leading byte-order
+    mark is dropped.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
@@ -135,3 +136,61 @@ def bridge_paths_reference(rng: np.random.Generator, reps: int, n_bridges: int,
     walk = np.cumsum(steps, axis=2)
     t = np.arange(1, m + 1) / m
     return walk - t * walk[:, :, -1:]
+
+
+def simulate_reference(before, after, k_star: int, n: int, seed: int,
+                       burn_in: int) -> np.ndarray:
+    """Length-n path of one model family by a literal loop over Python floats.
+
+    Draws the same ``standard_normal`` vector from ``default_rng(seed)`` as
+    ``cssm.models`` and then recurses one scalar step at a time.  Step t
+    (0-based, burn-in included) follows ``before`` while t < burn_in +
+    k_star, i.e. observation k* is the last pre-break one; k_star = n gives
+    a path without a break.  Recursions start from zero pre-sample values,
+    GARCH from the stationary variance of ``before``; the product model's
+    two pre-sample innovations precede step 0, so they follow ``before``.
+    """
+    total = burn_in + n
+    split = burn_in + k_star
+    family = before.family.value
+
+    def params(t: int):
+        return before.params if t < split else after.params
+
+    rng = np.random.default_rng(seed)
+    if family == "product2dep":
+        e = rng.standard_normal(total + 2).tolist()
+        z = {}
+        for t in range(-2, total):
+            mu, sigma = params(t)
+            z[t] = mu + sigma * e[t + 2]
+        out = [z[t] * z[t - 1] * z[t - 2] for t in range(total)]
+        return np.array(out[burn_in:])
+    e = rng.standard_normal(total).tolist()
+    out = []
+    if family == "arma11":
+        prev = e_prev = 0.0
+        for t in range(total):
+            phi, theta = params(t)
+            prev = phi * prev + (e[t] + theta * e_prev)
+            e_prev = e[t]
+            out.append(prev)
+    elif family == "ma2":
+        e1 = e2 = 0.0
+        for t in range(total):
+            theta1, theta2 = params(t)
+            out.append(e[t] + theta1 * e1 + theta2 * e2)
+            e1, e2 = e[t], e1
+    elif family == "garch11":
+        omega, alpha, beta = before.params
+        var = omega / (1.0 - alpha - beta)
+        prev = 0.0
+        for t in range(total):
+            if t > 0:
+                omega, alpha, beta = params(t)
+                var = omega + alpha * prev * prev + beta * var
+            prev = math.sqrt(var) * e[t]
+            out.append(prev)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return np.array(out[burn_in:])

@@ -36,6 +36,13 @@ class TestReadSeries:
         with pytest.raises(ValueError, match="line 2"):
             read_series(f)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text("1.5\n-2.0\n", encoding="utf-8")
+        marked.write_text("1.5\n-2.0\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(read_series(marked), read_series(plain))
+
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "x.txt"
         f.write_text("# nothing\n")
@@ -103,6 +110,13 @@ class TestSimulate:
         )
         assert code == 2
         assert "params-after" in err
+
+    def test_noise_sigma_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--family", "garch11", "--params", "0.5,0.4,0.5",
+                  "--n", "10", "--noise-sigma", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --noise-sigma" in capsys.readouterr().err
 
     def test_bad_params_error(self, capsys):
         code, _, err = run_cli(
@@ -258,3 +272,11 @@ class TestPowerCommand:
                             for line in out_csv.read_text().splitlines()]
         assert len(rows["T2b", "T2a"]) == 9
         assert rows["T2b", "T2a"] == rows["T2b",] + rows["T2a",][1:]
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            "power", "--table", "T2b", "--reps", "5", "--seed", "-3000000",
+            "--out", str(tmp_path / "t2b.csv"), capsys=capsys,
+        )
+        assert code == 2
+        assert "seed must be >= 0" in err

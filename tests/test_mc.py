@@ -48,6 +48,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="beta"):
             Scenario("bad beta", ChangeSpec(150, before, before), 300, beta=beta)
 
+    def test_rejects_negative_seed(self):
+        # default_rng rejects negative seeds, so every replication would fail
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            arma_scenario(seed=-1)
+
 
 class TestRunScenario:
     def test_report_shape(self):

@@ -1,10 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cssm.autocov import sample_autocov
-from cssm.models import ChangeSpec, Family, ModelSpec, simulate, simulate_with_change
+from cssm.models import (
+    DEFAULT_BURN_IN,
+    ChangeSpec,
+    Family,
+    ModelSpec,
+    simulate,
+    simulate_with_change,
+)
+
+from oracles import simulate_reference
 
 
 class TestModelSpecValidation:
@@ -24,9 +35,8 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match="sigma_z"):
             ModelSpec.product2dep(0.0, 0.0)
 
-    def test_product_rejects_noise_sigma(self):
-        with pytest.raises(ValueError, match="noise_sigma"):
-            ModelSpec(Family.PRODUCT2DEP, (0.0, 1.0), noise_sigma=2.0)
+    def test_fields_are_family_and_params(self):
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == ["family", "params"]
 
     def test_param_count(self):
         with pytest.raises(ValueError, match="expects"):
@@ -97,6 +107,33 @@ class TestDeterminism:
         a = simulate(spec, 50, seed=seed, burn_in=10)
         b = simulate(spec, 50, seed=seed, burn_in=10)
         assert np.array_equal(a.values, b.values)
+
+
+# (before, after) pairs whose every parameter changes at the break
+BREAKS = {
+    "arma11": (ModelSpec.arma11(0.2, 0.1), ModelSpec.arma11(-0.6, 0.7)),
+    "ma2": (ModelSpec.ma2(0.3, 0.3), ModelSpec.ma2(-0.5, 0.8)),
+    "product2dep": (ModelSpec.product2dep(0.0, 1.0), ModelSpec.product2dep(0.5, 0.6)),
+    "garch11": (ModelSpec.garch11(0.5, 0.1, 0.2), ModelSpec.garch11(0.8, 0.4, 0.3)),
+}
+
+
+class TestSimulatorOracles:
+    """Every simulator matches its literal scalar loop byte for byte."""
+
+    @pytest.mark.parametrize("burn_in", [0, DEFAULT_BURN_IN])
+    @pytest.mark.parametrize("k_star", [None, 20, 39], ids=["no-break", "mid", "last"])
+    @pytest.mark.parametrize("family", list(BREAKS))
+    def test_matches_scalar_loop(self, family, k_star, burn_in):
+        before, after = BREAKS[family]
+        n, seed = 40, 2024
+        if k_star is None:
+            got = simulate(before, n, seed, burn_in)
+            want = simulate_reference(before, before, n, n, seed, burn_in)
+        else:
+            got = simulate_with_change(ChangeSpec(k_star, before, after), n, seed, burn_in)
+            want = simulate_reference(before, after, k_star, n, seed, burn_in)
+        assert got.values.tobytes() == want.tobytes()
 
 
 class TestStationaryMoments:
