@@ -15,6 +15,7 @@ from .autocov import (
 )
 from .critval import (
     BUILTIN_TABLE,
+    DEFAULT_SEED,
     BridgeConfig,
     critical_value,
     simulate_bridge_sup,
@@ -30,7 +31,6 @@ from .longrun import (
     truncation_lag,
 )
 from .mc import (
-    DEFAULT_SEED,
     PowerReport,
     Scenario,
     rep_seed,

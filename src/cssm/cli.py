@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .critval import BridgeConfig, critical_value
+from .critval import DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig, critical_value
 from .cusum import cssm_test
-from .longrun import truncation_lag
-from .mc import DEFAULT_SEED, TABLE_IDS, run_table, write_reports_csv
-from .models import ChangeSpec, Family, ModelSpec, simulate, simulate_with_change
+from .longrun import DEFAULT_BETA, truncation_lag
+from .mc import DEFAULT_REPLICATIONS, TABLE_IDS, run_table, write_reports_csv
+from .models import (DEFAULT_BURN_IN, ChangeSpec, Family, ModelSpec, simulate,
+                     simulate_with_change)
 
 DEFAULT_CACHE = "cssm_critval_cache.txt"
 
@@ -135,8 +136,7 @@ def cmd_critval(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    reports = [rep for table in args.table
-               for rep in run_table(table, args.reps, args.seed, args.beta)]
+    reports = [rep for table in args.table for rep in run_table(table, args.reps, args.seed)]
     write_reports_csv(reports, args.out)
     for rep in reports:
         print(f"{rep.scenario.label}: power={rep.power:.3f} "
@@ -146,9 +146,9 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def _add_critval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid", type=int, default=2000,
+    p.add_argument("--grid", type=int, default=BridgeConfig.grid_points,
                    help="grid points for simulated critical values")
-    p.add_argument("--reps", type=int, default=100_000,
+    p.add_argument("--reps", type=int, default=BridgeConfig.replications,
                    help="replications for simulated critical values")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for simulated critical values")
@@ -167,23 +167,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a model, one value per line")
     p_sim.add_argument("--family", required=True,
                        choices=[f.value for f in Family])
-    p_sim.add_argument("--params", required=True,
-                       help="comma-separated family parameters, e.g. '0.2,0.1'")
+    p_sim.add_argument("--params", required=True, help="comma-separated family parameters, "
+                       "e.g. '0.2,0.1'; a list starting with '-' needs --params=-0.3,0.5")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--burn-in", type=int, default=500)
+    p_sim.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p_sim.add_argument("--change-at", type=int, default=None,
                        help="introduce a parameter change after this observation")
-    p_sim.add_argument("--params-after", default=None,
-                       help="post-change parameters (with --change-at)")
+    p_sim.add_argument("--params-after", help="post-change parameters (with --change-at); "
+                       "a list starting with '-' needs --params-after=-0.3,0.5")
     p_sim.add_argument("--out", default=None, help="output file (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("detect", help="run the change-point test on a series file")
     p_det.add_argument("input", help="text file, one value per line")
     p_det.add_argument("--L", type=int, default=1, help="largest lag tested")
-    p_det.add_argument("--alpha", type=float, default=0.05)
-    p_det.add_argument("--beta", type=float, default=0.3,
+    p_det.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p_det.add_argument("--beta", type=float, default=DEFAULT_BETA,
                        help="truncation exponent of the covariance estimator")
     p_det.add_argument("--center", action="store_true",
                        help="subtract the sample mean before testing")
@@ -195,16 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("critval", help="print a critical value")
     p_cv.add_argument("--L", type=int, required=True)
-    p_cv.add_argument("--alpha", type=float, default=0.05)
+    p_cv.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_critval_flags(p_cv)
     p_cv.set_defaults(func=cmd_critval)
 
     p_pow = sub.add_parser("power", help="run power-study tables into one CSV")
     p_pow.add_argument("--table", required=True, nargs="+", choices=list(TABLE_IDS),
                        help="one or more table ids, run in the order given")
-    p_pow.add_argument("--reps", type=int, default=1000)
+    p_pow.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
     p_pow.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_pow.add_argument("--beta", type=float, default=0.3)
     p_pow.add_argument("--out", required=True, help="CSV output path")
     p_pow.set_defaults(func=cmd_power)
 

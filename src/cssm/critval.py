@@ -42,6 +42,9 @@ _DEFAULT_WORKERS = 2
 
 _cache_lock = threading.Lock()
 
+DEFAULT_ALPHA = 0.05  # level of the test
+DEFAULT_SEED = 12345  # seed of the bridge simulation and of the Monte Carlo study
+
 
 @dataclass(frozen=True)
 class BridgeConfig:
@@ -55,7 +58,7 @@ class BridgeConfig:
 
     grid_points: int = 2000
     replications: int = 100_000
-    seed: int = 12345
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.grid_points < 100:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import critval as _critval
 from .autocov import as_timeseries, prefix_autocovs
-from .critval import BridgeConfig
-from .longrun import CovMatrix, estimate_longrun_cov
+from .critval import DEFAULT_ALPHA, BridgeConfig
+from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +111,7 @@ def cusum_path(x, C: CovMatrix, L: int) -> CusumPath:
     return CusumPath(values=vals, k_min=L + 1, k_max=n - 1)
 
 
-def cssm_test(x, L: int, beta: float = 0.3, alpha: float = 0.05,
+def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
               *, critical_value: float | None = None,
               bridge_cfg: BridgeConfig | None = None,
               cache_path=None) -> TestResult:

@@ -23,6 +23,8 @@ import numpy as np
 
 from .autocov import _autocov, as_timeseries
 
+DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
+
 _RESCALE = ("fourth-order products of the series {} double precision; "
             "rescale the series (e.g. divide it by its standard deviation)")
 
@@ -141,7 +143,7 @@ def _longrun_terms(values: np.ndarray, L: int,
     return terms, raw, floor
 
 
-def theta_bar(x, h: int, k: int, beta: float = 0.3) -> float:
+def theta_bar(x, h: int, k: int, beta: float = DEFAULT_BETA) -> float:
     """Truncated long-run covariance estimate for the (h, k) lag pair.
 
     Sums :func:`sigma_bar` over displacements 0..h_n and divides by n, as the
@@ -161,7 +163,7 @@ def theta_bar(x, h: int, k: int, beta: float = 0.3) -> float:
     return float(_longrun_terms(values, hi, h_n)[1][lo, hi])
 
 
-def estimate_longrun_cov(x, L: int, beta: float = 0.3) -> CovMatrix:
+def estimate_longrun_cov(x, L: int, beta: float = DEFAULT_BETA) -> CovMatrix:
     """Estimated long-run covariance matrix of the lag-0..L autocovariances.
 
     Computes every :func:`theta_bar` entry at once, with displacement cutoff

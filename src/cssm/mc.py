@@ -2,17 +2,18 @@
 
 Scenarios bundle a (possibly degenerate) parameter change with the test
 settings; :func:`run_scenario` replicates it and tallies rejections, and
-:func:`run_table` enumerates the four study grids T1, T2a, T2b and T3:
+:func:`run_table` runs one of the four study grids at the test's defaults
+(L = 1, ``DEFAULT_ALPHA``, ``DEFAULT_BETA``; a study at another beta builds
+``Scenario(beta=...)``), with every break after observation n // 2:
 
-* T1: ARMA(1,1) starting at (theta, phi) = (0.1, 0.2), n = 500, break at
-  250, with post-break theta in {0.1, 0.3, 0.5, 0.7} crossed with phi in
+* T1: ARMA(1,1) starting at (theta, phi) = (0.1, 0.2), n = 500, with
+  post-break theta in {0.1, 0.3, 0.5, 0.7} crossed with phi in
   {0.2, 0.4, 0.5, 0.6} (the (0.1, 0.2) cell is the no-change size check).
-* T2a: 2-dependent product model, innovation sigma 1 -> {0.8, 0.6, 0.4,
-  0.2}, n = 500, break at 250.
-* T2b: same model, innovation mean 0 -> {0, 0.5, 1.0, 1.5}.
+* T2a: 2-dependent product model, n = 500, sigma_z 1 -> {0.8, 0.6, 0.4, 0.2}.
+* T2b: same model, innovation mean mu_z 0 -> {0, 0.5, 1.0, 1.5}.
 * T3: GARCH(1,1) starting at (0.5, 0.1, 0.2), post-break triples
   {(0.8,0.1,0.2), (0.8,0.1,0.5), (0.8,0.4,0.2)} plus a no-change row,
-  each at n in {500, 800, 1000} with the break at n/2.
+  each at n in {500, 800, 1000}.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critval as _critval
+from .critval import DEFAULT_ALPHA, DEFAULT_SEED
 from .cusum import cssm_test
-from .longrun import truncation_lag
+from .longrun import DEFAULT_BETA, truncation_lag
 from .models import ChangeSpec, ModelSpec, simulate_with_change
 
-DEFAULT_SEED = 12345
-
-TABLE_IDS = ("T1", "T2a", "T2b", "T3")
+DEFAULT_REPLICATIONS = 1000  # per scenario of the study
 
 # Scenario base seeds are spaced 2**21 apart so the per-replication
 # streams (base XOR r) never collide across scenarios for r < 2**21.
@@ -50,10 +50,10 @@ class Scenario:
     change: ChangeSpec
     n: int
     L: int = 1
-    alpha: float = 0.05
-    replications: int = 1000
+    alpha: float = DEFAULT_ALPHA
+    replications: int = DEFAULT_REPLICATIONS
     seed: int = DEFAULT_SEED
-    beta: float = 0.3
+    beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
@@ -147,67 +147,45 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
     )
 
 
-def _no_change(spec: ModelSpec, k_star: int) -> ChangeSpec:
-    return ChangeSpec(k_star, spec, spec)
+_ARMA = ModelSpec.arma11(phi=0.2, theta=0.1)
+_PRODUCT = ModelSpec.product2dep(mu_z=0.0, sigma_z=1.0)
+_GARCH = ModelSpec.garch11(0.5, 0.1, 0.2)
+
+# (label, before, after, n) for every cell of each table, in grid order.
+_CELLS: dict[str, list[tuple[str, ModelSpec, ModelSpec, int]]] = {
+    "T1": [(f"T1 theta1={theta1} phi1={phi1}", _ARMA, ModelSpec.arma11(phi1, theta1), 500)
+           for theta1 in (0.1, 0.3, 0.5, 0.7) for phi1 in (0.2, 0.4, 0.5, 0.6)],
+    "T2a": [(f"T2a sigma={sigma}", _PRODUCT, ModelSpec.product2dep(0.0, sigma), 500)
+            for sigma in (0.8, 0.6, 0.4, 0.2)],
+    "T2b": [(f"T2b mu={mu}", _PRODUCT, ModelSpec.product2dep(mu, 1.0), 500)
+            for mu in (0.0, 0.5, 1.0, 1.5)],
+    "T3": [(f"T3 {row} n={n}", _GARCH, after, n) for row, after in (
+        ("no change", _GARCH),
+        ("omega=0.8 alpha=0.1 beta=0.2", ModelSpec.garch11(0.8, 0.1, 0.2)),
+        ("omega=0.8 alpha=0.1 beta=0.5", ModelSpec.garch11(0.8, 0.1, 0.5)),
+        ("omega=0.8 alpha=0.4 beta=0.2", ModelSpec.garch11(0.8, 0.4, 0.2)),
+    ) for n in (500, 800, 1000)],
+}
+
+TABLE_IDS = tuple(_CELLS)
 
 
-def table_scenarios(table_id: str, replications: int = 1000,
-                    seed: int = DEFAULT_SEED,
-                    beta: float = 0.3) -> list[Scenario]:
-    """The scenario grid of one study table (see module docstring) at cutoff exponent ``beta``."""
-    if table_id not in TABLE_IDS:
+def table_scenarios(table_id: str, replications: int = DEFAULT_REPLICATIONS,
+                    seed: int = DEFAULT_SEED) -> list[Scenario]:
+    """The scenario grid of one study table (see module docstring)."""
+    if table_id not in _CELLS:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
-
-    entries: list[tuple[str, ChangeSpec, int]] = []
-    if table_id == "T1":
-        before = ModelSpec.arma11(phi=0.2, theta=0.1)
-        for theta1 in (0.1, 0.3, 0.5, 0.7):
-            for phi1 in (0.2, 0.4, 0.5, 0.6):
-                after = ModelSpec.arma11(phi=phi1, theta=theta1)
-                entries.append(
-                    (f"T1 theta1={theta1} phi1={phi1}", ChangeSpec(250, before, after), 500)
-                )
-    elif table_id == "T2a":
-        before = ModelSpec.product2dep(mu_z=0.0, sigma_z=1.0)
-        for sigma in (0.8, 0.6, 0.4, 0.2):
-            after = ModelSpec.product2dep(mu_z=0.0, sigma_z=sigma)
-            entries.append((f"T2a sigma={sigma}", ChangeSpec(250, before, after), 500))
-    elif table_id == "T2b":
-        before = ModelSpec.product2dep(mu_z=0.0, sigma_z=1.0)
-        for mu in (0.0, 0.5, 1.0, 1.5):
-            after = ModelSpec.product2dep(mu_z=mu, sigma_z=1.0)
-            entries.append((f"T2b mu={mu}", ChangeSpec(250, before, after), 500))
-    else:
-        before = ModelSpec.garch11(0.5, 0.1, 0.2)
-        rows: list[tuple[str, ModelSpec | None]] = [
-            ("no change", None),
-            ("omega=0.8 alpha=0.1 beta=0.2", ModelSpec.garch11(0.8, 0.1, 0.2)),
-            ("omega=0.8 alpha=0.1 beta=0.5", ModelSpec.garch11(0.8, 0.1, 0.5)),
-            ("omega=0.8 alpha=0.4 beta=0.2", ModelSpec.garch11(0.8, 0.4, 0.2)),
-        ]
-        for row_label, after in rows:
-            for n in (500, 800, 1000):
-                change = _no_change(before, n // 2) if after is None \
-                    else ChangeSpec(n // 2, before, after)
-                entries.append((f"T3 {row_label} n={n}", change, n))
-
     return [
-        Scenario(
-            label=label,
-            change=change,
-            n=n,
-            replications=replications,
-            seed=seed + (i + 1) * _SEED_STRIDE,
-            beta=beta,
-        )
-        for i, (label, change, n) in enumerate(entries)
+        Scenario(label, ChangeSpec(n // 2, before, after), n,
+                 replications=replications, seed=seed + (i + 1) * _SEED_STRIDE)
+        for i, (label, before, after, n) in enumerate(_CELLS[table_id])
     ]
 
 
-def run_table(table_id: str, replications: int = 1000, seed: int = DEFAULT_SEED,
-              beta: float = 0.3) -> list[PowerReport]:
-    """Run every scenario of one table, at cutoff exponent ``beta``; reports in grid order."""
-    return [run_scenario(s) for s in table_scenarios(table_id, replications, seed, beta)]
+def run_table(table_id: str, replications: int = DEFAULT_REPLICATIONS,
+              seed: int = DEFAULT_SEED) -> list[PowerReport]:
+    """Run every scenario of one table; reports in grid order."""
+    return [run_scenario(s) for s in table_scenarios(table_id, replications, seed)]
 
 
 _CSV_HEADER = (

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cssm.cli import main, read_series
-from cssm.critval import BridgeConfig, critical_value
+from cssm.cli import build_parser, main, read_series
+from cssm.critval import DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig, critical_value
 from cssm.cusum import cssm_test
-from cssm.mc import rep_seed
-from cssm.models import ModelSpec, simulate
+from cssm.longrun import DEFAULT_BETA
+from cssm.mc import DEFAULT_REPLICATIONS, rep_seed
+from cssm.models import DEFAULT_BURN_IN, ChangeSpec, ModelSpec, simulate, simulate_with_change
 
 from oracles import read_series_reference
 
@@ -117,6 +118,16 @@ class TestSimulate:
                   "--n", "10", "--noise-sigma", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --noise-sigma" in capsys.readouterr().err
+
+    def test_negative_params_in_equals_form(self, capsys):
+        code, out, _ = run_cli(
+            "simulate", "--family", "ma2", "--params=-0.3,0.5", "--n", "5",
+            "--change-at", "2", "--params-after=0.3,-0.5", capsys=capsys,
+        )
+        assert code == 0
+        change = ChangeSpec(2, ModelSpec.ma2(-0.3, 0.5), ModelSpec.ma2(0.3, -0.5))
+        want = simulate_with_change(change, 5, DEFAULT_SEED)
+        np.testing.assert_array_equal(np.array(out.split(), dtype=float), want.values)
 
     def test_bad_params_error(self, capsys):
         code, _, err = run_cli(
@@ -244,7 +255,32 @@ class TestCritvalCommand:
         assert len(cache.read_text().strip().splitlines()) == 1
 
 
+class TestDefaults:
+    def test_flags_default_to_the_library_constants(self):
+        parser = build_parser()
+        cfg = BridgeConfig()
+        for argv in (["detect", "x.txt"], ["critval", "--L", "1"]):
+            args = parser.parse_args(argv)
+            assert args.alpha == DEFAULT_ALPHA
+            assert (args.grid, args.reps, args.seed) == (cfg.grid_points, cfg.replications,
+                                                         cfg.seed)
+        assert parser.parse_args(["detect", "x.txt"]).beta == DEFAULT_BETA
+        sim = parser.parse_args(["simulate", "--family", "ma2", "--params", "0,0", "--n", "5"])
+        assert (sim.seed, sim.burn_in) == (DEFAULT_SEED, DEFAULT_BURN_IN)
+        power = parser.parse_args(["power", "--table", "T1", "--out", "t1.csv"])
+        assert (power.reps, power.seed) == (DEFAULT_REPLICATIONS, DEFAULT_SEED)
+
+
 class TestPowerCommand:
+    def test_beta_is_not_an_option(self, tmp_path, capsys):
+        out_csv = tmp_path / "t1.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["power", "--table", "T1", "--beta", "0.3", "--reps", "2",
+                  "--out", str(out_csv)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta 0.3" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_small_table_run(self, tmp_path, capsys):
         out_csv = tmp_path / "t2b.csv"
         code, out, _ = run_cli(

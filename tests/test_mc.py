@@ -1,9 +1,14 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from cssm.critval import DEFAULT_ALPHA
+from cssm.cusum import cssm_test
+from cssm.longrun import DEFAULT_BETA
 from cssm.mc import (
+    TABLE_IDS,
     PowerReport,
     Scenario,
     rep_seed,
@@ -133,6 +138,39 @@ class TestTableGrids:
         assert len(no_change) == 3
         assert scens[0].change.spec_before.params == (0.5, 0.1, 0.2)
         assert scens[-1].change.spec_after.params == (0.8, 0.4, 0.2)
+
+    @pytest.mark.parametrize("table", TABLE_IDS)
+    def test_every_cell_breaks_at_half_under_test_defaults(self, table):
+        defaults = inspect.signature(cssm_test).parameters
+        assert (DEFAULT_BETA, DEFAULT_ALPHA) == (defaults["beta"].default,
+                                                 defaults["alpha"].default)
+        for s in table_scenarios(table, replications=10):
+            assert s.change.change_index == s.n // 2
+            assert (s.beta, s.alpha, s.L) == (DEFAULT_BETA, DEFAULT_ALPHA, 1)
+
+    def test_labels(self):
+        labels = {t: [s.label for s in table_scenarios(t, replications=10)]
+                  for t in TABLE_IDS}
+        assert TABLE_IDS == ("T1", "T2a", "T2b", "T3")
+        assert labels["T1"][0] == "T1 theta1=0.1 phi1=0.2"
+        assert labels["T1"][-1] == "T1 theta1=0.7 phi1=0.6"
+        assert labels["T2a"] == ["T2a sigma=0.8", "T2a sigma=0.6",
+                                 "T2a sigma=0.4", "T2a sigma=0.2"]
+        assert labels["T2b"] == ["T2b mu=0.0", "T2b mu=0.5", "T2b mu=1.0", "T2b mu=1.5"]
+        assert labels["T3"] == [
+            "T3 no change n=500",
+            "T3 no change n=800",
+            "T3 no change n=1000",
+            "T3 omega=0.8 alpha=0.1 beta=0.2 n=500",
+            "T3 omega=0.8 alpha=0.1 beta=0.2 n=800",
+            "T3 omega=0.8 alpha=0.1 beta=0.2 n=1000",
+            "T3 omega=0.8 alpha=0.1 beta=0.5 n=500",
+            "T3 omega=0.8 alpha=0.1 beta=0.5 n=800",
+            "T3 omega=0.8 alpha=0.1 beta=0.5 n=1000",
+            "T3 omega=0.8 alpha=0.4 beta=0.2 n=500",
+            "T3 omega=0.8 alpha=0.4 beta=0.2 n=800",
+            "T3 omega=0.8 alpha=0.4 beta=0.2 n=1000",
+        ]
 
     def test_unknown_table(self):
         with pytest.raises(ValueError, match="unknown table"):
