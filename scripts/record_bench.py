@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record perfbench and Tier-1 timings of one or two source trees in BENCH_<tag>.json.
+"""Record perfbench, study and Tier-1 timings of one or two source trees in BENCH_<tag>.json.
 
 Usage:
     python scripts/record_bench.py --tag pr7 [--base HEAD] [--seeds 711 712 ...]
@@ -10,13 +10,16 @@ temporary directory ("base").  Every tree runs ``perfbench/run.py
 --seconds S`` once per workload and seed, from its own checkout, with S
 and the workloads taken from ``BENCHMARK.json``; with two trees the order
 alternates from seed to seed, so drift of the host falls on both alike.
-Each tree then runs the Tier-1 command ``PYTHONPATH=src python -m pytest
--q --continue-on-collection-errors`` twice.  The file at the repository
+The trees then take turns to run the study command ``PYTHONPATH=src
+python -m cssm power --table T1 --reps 1000`` twice each, and the Tier-1
+command ``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors`` twice each.  The file at the repository
 root holds, per tree: the git sha (``-dirty`` for uncommitted changes)
 and perfbench's digest of ``src/cssm``, Python and numpy versions, nproc,
 the line count of ``src/``, every run's metrics, their median, quartiles,
-min and max, and, for the change, on how many seeds each end-to-end
-metric was better or worse than the base (direction from
+min and max, the wall times of the study (with its total rejections, so
+equal outputs show) and of Tier-1, and, for the change, on how many seeds
+each end-to-end metric was better or worse than the base (direction from
 ``BENCHMARK.json``) and whether the median moved by more than the base's
 interquartile range.  Uses the standard library only.
 """
@@ -37,6 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_RUNS = 2
+POWER = [sys.executable, "-m", "cssm", "power", "--table", "T1", "--reps", "1000"]
+POWER_RUNS = 2
+ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def git(*args: str) -> str:
@@ -77,13 +83,28 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "env": env}
 
 
-def tier1(tree: Path) -> dict:
+def timed(cmd: list[str], tree: Path) -> tuple[float, subprocess.CompletedProcess]:
+    """Run cmd in tree against its own ``src/``; return the wall time and the process."""
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=tree, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"})
-    wall = time.perf_counter() - t0
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=ENV)
+    return time.perf_counter() - t0, proc
+
+
+def tier1(tree: Path) -> dict:
+    wall, proc = timed(TIER1, tree)
     summary = (proc.stdout.strip().splitlines() or [""])[-1]
     return {"wall_s": wall, "exit_status": proc.returncode, "summary": summary}
+
+
+def power(tree: Path, out: Path) -> dict:
+    """One study run, writing its CSV to out; its printed rejections are summed."""
+    wall, proc = timed([*POWER, "--out", str(out)], tree)
+    # each scenario prints "<label>: power=<p> (<rejections>/<replications>)"
+    tallies = [line.rsplit("(", 1)[1].rstrip(")").split("/")
+               for line in proc.stdout.splitlines() if ": power=" in line]
+    return {"wall_s": wall, "exit_status": proc.returncode, "scenarios": len(tallies),
+            "rejections": sum(int(r) for r, _ in tallies),
+            "replications": sum(int(n) for _, n in tallies)}
 
 
 def spread(values: list[float]) -> dict:
@@ -153,6 +174,11 @@ def main(argv=None) -> int:
                     runs[name][wl].append(run)
                     print(f"{wl} seed {seed} {name}: op_p50_ms "
                           f"{run['metrics']['op_p50_ms']:.1f}", file=sys.stderr)
+        for _ in range(POWER_RUNS):
+            for name in names:
+                out = Path(tmp) / f"power-{name}.csv"
+                trees[name].setdefault("power", []).append(power(trees[name]["dir"], out))
+                print(f"power {name}: {trees[name]['power'][-1]}", file=sys.stderr)
         for _ in range(TIER1_RUNS):
             for name in names:
                 trees[name].setdefault("tier1", []).append(tier1(trees[name]["dir"]))
@@ -178,6 +204,11 @@ def main(argv=None) -> int:
                 if name == "change" and "base" in runs:
                     entry["workloads"][wl]["vs_base"] = compare(runs["base"][wl], wl_runs,
                                                                 better)
+            if "power" in tree:
+                entry["power_t1"] = {"command": "PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 python "
+                                                + " ".join(POWER[1:]) + " --out FILE",
+                                     "wall_s": spread([t["wall_s"] for t in tree["power"]]),
+                                     "runs": tree["power"]}
             if "tier1" in tree:
                 entry["tier1"] = {"command": "PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 python "
                                              + " ".join(TIER1[1:]),

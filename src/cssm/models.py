@@ -7,11 +7,19 @@ A change point is introduced by switching the parameter set mid-series
 while carrying the recursion state (lagged observations, innovations and
 conditional variances) across the break, so the parameter change is the
 only discontinuity.
+
+Every simulator takes ``seed`` as an int, for one path as a
+:class:`TimeSeries`, or as a sequence of ints, for one path per seed as the
+rows of a read-only array.  Row r of the array is byte-identical to the
+int call with ``seed[r]``: the paths are recursed side by side, one time
+step at a time over all rows, so simulating many is much cheaper per path
+than simulating them one by one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,45 +130,95 @@ class ChangeSpec:
             )
 
 
-def _sim_arma11(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _innovations(seeds: list[int], size: int, pad: int = 0) -> np.ndarray:
+    """(pad + size, R) standard normals below ``pad`` zero pre-sample rows.
+
+    Column j below the padding is ``default_rng(seeds[j]).standard_normal(size)``,
+    the stream that a one-seed run with ``seeds[j]`` draws.
+    """
+    z = np.empty((pad + size, len(seeds)))
+    z[:pad] = 0.0
+    for j, seed in enumerate(seeds):
+        z[pad:, j] = np.random.default_rng(seed).standard_normal(size)
+    return z
+
+
+# Each kernel maps a (T, p) parameter table (row t: step t's parameters) and
+# R seeds to a (T, R) array of paths.  The recursions step time in Python
+# over R-length rows, in place and in the operation order of the scalar
+# recursion, so column j is bit-identical to a one-seed run; with one seed
+# they iterate plain Python floats, which is about 10x faster per step.
+
+def _sim_arma11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     phi, theta = params.T
-    z = rng.standard_normal(len(params))
-    drive = z + theta * np.concatenate(([0.0], z[:-1]))
-    out = []
-    prev = 0.0
-    for phi_t, drive_t in zip(phi.tolist(), drive.tolist()):
-        prev = phi_t * prev + drive_t
-        out.append(prev)
-    return np.asarray(out)
+    z = _innovations(seeds, len(params), pad=1)
+    z[1:] += theta[:, None] * z[:-1]
+    out = z[1:]  # the drive e_t + theta_t e_{t-1}, recursed in place
+    if len(seeds) == 1:
+        prev, path = 0.0, []
+        for phi_t, drive_t in zip(phi.tolist(), out[:, 0].tolist()):
+            prev = phi_t * prev + drive_t
+            path.append(prev)
+        out[:, 0] = path
+        return out
+    prev, step = np.zeros(len(seeds)), np.empty(len(seeds))
+    for phi_t, row in zip(phi.tolist(), out):
+        np.multiply(prev, phi_t, out=step)
+        row += step
+        prev = row
+    return out
 
 
-def _sim_ma2(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    theta1, theta2 = params.T
-    z = rng.standard_normal(len(params))
-    padded = np.concatenate(([0.0, 0.0], z))
-    return z + theta1 * padded[1:-1] + theta2 * padded[:-2]
+def _sim_ma2(params: np.ndarray, seeds: list[int]) -> np.ndarray:
+    theta1, theta2 = params.T[:, :, None]
+    z = _innovations(seeds, len(params), pad=2)
+    out = z[2:] + theta1 * z[1:-1]
+    out += theta2 * z[:-2]
+    return out
 
 
-def _sim_product2dep(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _sim_product2dep(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     # Two pre-sample innovations feed the first product; they precede the
     # break, so they always draw from the pre-break law of row 0.
-    mu, sigma = np.concatenate((params[:1], params[:1], params)).T
-    z = mu + sigma * rng.standard_normal(len(mu))
-    return z[2:] * z[1:-1] * z[:-2]
+    mu, sigma = np.concatenate((params[:1], params[:1], params)).T[:, :, None]
+    z = _innovations(seeds, len(mu))
+    z *= sigma
+    z += mu
+    out = z[2:] * z[1:-1]
+    out *= z[:-2]
+    return out
 
 
-def _sim_garch11(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    steps = zip(*params.T.tolist(), rng.standard_normal(len(params)).tolist())
+def _sim_garch11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
+    z = _innovations(seeds, len(params))  # scaled in place into the path
+    single = len(seeds) == 1
+    steps = zip(*params.T.tolist(), z[:, 0].tolist() if single else z)
     # Start from the stationary variance of the pre-break parameters.
     omega, alpha, beta, e = next(steps)
     var = omega / (1.0 - alpha - beta)
-    prev = math.sqrt(var) * e
-    out = [prev]
-    for omega, alpha, beta, e in steps:
-        var = omega + alpha * prev * prev + beta * var
+    if single:
         prev = math.sqrt(var) * e
-        out.append(prev)
-    return np.asarray(out)
+        path = [prev]
+        for omega, alpha, beta, e in steps:
+            var = omega + alpha * prev * prev + beta * var
+            prev = math.sqrt(var) * e
+            path.append(prev)
+        z[:, 0] = path
+        return z
+    prev = e
+    prev *= math.sqrt(var)
+    var, step = np.full(len(seeds), var), np.empty(len(seeds))
+    for omega, alpha, beta, row in steps:
+        # var = omega + alpha * prev * prev + beta * var
+        np.multiply(prev, alpha, out=step)
+        step *= prev
+        step += omega
+        var *= beta
+        var += step
+        np.sqrt(var, out=step)
+        row *= step
+        prev = row
+    return z
 
 
 _SIMULATORS = {
@@ -172,36 +230,54 @@ _SIMULATORS = {
 
 
 def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
-                   seed: int, burn_in: int) -> TimeSeries:
+                   seed: int | Sequence[int], burn_in: int) -> TimeSeries | np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    if np.ndim(seed) > 1 or not seeds:
+        raise ValueError("seed must be an int or a non-empty 1-D sequence of ints")
     # Row t holds step t's parameters; the first burn_in + k_star precede the break.
     params = np.repeat([before.params, after.params],
                        [burn_in + k_star, n - k_star], axis=0)
-    path = _SIMULATORS[before.family](params, np.random.default_rng(seed))
-    return TimeSeries(path[burn_in:])
+    # Overflow surfaces as a non-finite path, which raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = _SIMULATORS[before.family](params, seeds)[burn_in:].T
+    if single:
+        return TimeSeries(paths[0])
+    if not np.isfinite(paths).all():
+        raise ValueError("a simulated path contains NaN or infinite values")
+    paths.setflags(write=False)
+    return paths
 
 
-def simulate(spec: ModelSpec, n: int, seed: int,
-             burn_in: int = DEFAULT_BURN_IN) -> TimeSeries:
+def simulate(spec: ModelSpec, n: int, seed: int | Sequence[int],
+             burn_in: int = DEFAULT_BURN_IN) -> TimeSeries | np.ndarray:
     """Length-n path of ``spec``, deterministic given the seed.
 
     ``burn_in`` extra steps are generated first and discarded; recursions
     start from zero pre-sample values (GARCH from its stationary
     variance), which the burn-in washes out.
+
+    An int ``seed`` returns a :class:`TimeSeries`.  A non-empty 1-D
+    sequence of seeds returns a read-only float64 array of shape
+    (len(seed), n) whose row r is byte-identical to the path of
+    ``seed[r]``; it raises ``ValueError`` if any row is not finite, as a
+    :class:`TimeSeries` does.
     """
     return _simulate_pair(spec, spec, n, n, seed, burn_in)
 
 
-def simulate_with_change(cs: ChangeSpec, n: int, seed: int,
-                         burn_in: int = DEFAULT_BURN_IN) -> TimeSeries:
+def simulate_with_change(cs: ChangeSpec, n: int, seed: int | Sequence[int],
+                         burn_in: int = DEFAULT_BURN_IN) -> TimeSeries | np.ndarray:
     """Length-n path switching parameters after observation ``cs.change_index``.
 
     The recursion state crosses the break unchanged, so a no-change spec
     (before == after) reproduces :func:`simulate` bit for bit under the
-    same seed.
+    same seed.  ``seed`` is an int or a sequence of ints, with the return
+    types of :func:`simulate`.
     """
     if not cs.change_index < n:
         raise ValueError(

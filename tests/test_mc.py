@@ -1,9 +1,11 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cssm import mc
 from cssm.critval import DEFAULT_ALPHA
 from cssm.cusum import cssm_test
 from cssm.longrun import DEFAULT_BETA
@@ -107,6 +109,72 @@ class TestRunScenario:
     def test_explicit_critical_value_short_circuits(self):
         rep = run_scenario(arma_scenario(reps=10), critical_value=0.0)
         assert rep.power == 1.0
+
+
+def _one_cell_per_family(reps: int) -> dict[str, Scenario]:
+    ma2 = ChangeSpec(150, ModelSpec.ma2(0.1, 0.2), ModelSpec.ma2(0.5, 0.4))
+    return {
+        "arma11": table_scenarios("T1", reps)[5],
+        "ma2": Scenario("ma2", ma2, 300, replications=reps, seed=77),
+        "product2dep": table_scenarios("T2a", reps)[2],
+        "garch11": table_scenarios("T3", reps)[10],
+    }
+
+
+# (rejections, failures, mean_change_index) at 130 replications, as the
+# one-replication-at-a-time harness reported them before chunking.
+GOLDEN_130 = {
+    "arma11": (115, 0, 259.295652173913),
+    "ma2": (75, 0, 156.74666666666667),
+    "product2dep": (108, 0, 192.50925925925927),
+    "garch11": (125, 0, 434.512),
+}
+
+
+class TestChunkedRunScenario:
+    @pytest.mark.parametrize("chunk", [1, 7, mc._CHUNK])
+    def test_tally_does_not_depend_on_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(mc, "_CHUNK", chunk)
+        for family, scenario in _one_cell_per_family(130).items():
+            rep = run_scenario(scenario)
+            assert (rep.rejections, rep.failures, rep.mean_change_index) \
+                == GOLDEN_130[family], family
+
+    def test_failed_simulation_counts_each_replication_once(self):
+        garch = ModelSpec.garch11(1e308, 0.1, 0.2)
+        scenario = Scenario("overflow", ChangeSpec(50, garch, garch), 100, replications=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_scenario(scenario)
+        assert (rep.failures, rep.replications, rep.rejections) == (10, 0, 0)
+
+    def test_failed_simulation_in_a_chunk_counts_once(self, monkeypatch):
+        scenario = arma_scenario(reps=70)
+        bad = rep_seed(scenario.seed, 9)
+        simulate = mc.simulate_with_change
+
+        def flaky(change, n, seed):
+            if bad in np.atleast_1d(seed):
+                raise ValueError("injected")
+            return simulate(change, n, seed)
+
+        monkeypatch.setattr(mc, "simulate_with_change", flaky)
+        rep = run_scenario(scenario)
+        assert (rep.failures, rep.replications) == (1, 69)
+
+    def test_failed_test_counts_once(self, monkeypatch):
+        calls = []
+
+        def flaky(series, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 37:
+                raise ValueError("injected")
+            return cssm_test(series, *args, **kwargs)
+
+        monkeypatch.setattr(mc, "cssm_test", flaky)
+        rep = run_scenario(arma_scenario(reps=70))
+        assert len(calls) == 70
+        assert (rep.failures, rep.replications) == (1, 69)
 
 
 class TestTableGrids:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,52 @@ class TestSimulatorOracles:
             got = simulate_with_change(ChangeSpec(k_star, before, after), n, seed, burn_in)
             want = simulate_reference(before, after, k_star, n, seed, burn_in)
         assert got.values.tobytes() == want.tobytes()
+
+
+class TestBatchedSimulators:
+    """A seed sequence simulates one path per seed, each one byte-equal to its scalar loop."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 65])
+    @pytest.mark.parametrize("burn_in", [0, DEFAULT_BURN_IN])
+    @pytest.mark.parametrize("k_star", [None, 20], ids=["no-break", "mid"])
+    @pytest.mark.parametrize("family", list(BREAKS))
+    def test_rows_match_scalar_loop(self, family, k_star, burn_in, rows):
+        before, after = BREAKS[family]
+        n = 40
+        seeds = [2024 + 7919 * r for r in range(rows)]
+        if k_star is None:
+            got = simulate(before, n, seeds, burn_in)
+            after, k_star = before, n
+        else:
+            got = simulate_with_change(ChangeSpec(k_star, before, after), n, seeds, burn_in)
+        assert got.shape == (rows, n) and got.dtype == np.float64
+        assert not got.flags.writeable
+        for row, seed in zip(got, seeds):
+            want = simulate_reference(before, after, k_star, n, seed, burn_in)
+            assert row.tobytes() == want.tobytes()
+
+    def test_numpy_integer_seeds(self):
+        spec = ModelSpec.garch11(0.5, 0.1, 0.2)
+        got = simulate(spec, 30, np.array([3, 4]))
+        assert got[1].tobytes() == simulate(spec, 30, 4).values.tobytes()
+
+    @pytest.mark.parametrize("seed", [[], -1, [5, -1], [[1, 2]]],
+                             ids=["empty", "negative", "negative-row", "2-d"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError):
+            simulate(ModelSpec.arma11(0.2, 0.1), 30, seed)
+
+    @pytest.mark.parametrize("spec", [ModelSpec.garch11(1e308, 0.1, 0.2),
+                                      ModelSpec.ma2(1e308, 1e308),
+                                      ModelSpec.product2dep(1e200, 1e200)],
+                             ids=lambda s: s.family.value)
+    def test_overflow_raises_without_warning(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                simulate(spec, 50, [1, 2, 3])
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                simulate(spec, 50, 1)
 
 
 class TestStationaryMoments:
