@@ -27,7 +27,6 @@ from .longrun import (
     bartlett_linear,
     estimate_longrun_cov,
     sigma_bar,
-    theta_bar,
     truncation_lag,
 )
 from .mc import (
@@ -74,7 +73,6 @@ __all__ = [
     "simulate_with_change",
     "sup_quantile",
     "table_scenarios",
-    "theta_bar",
     "truncation_lag",
     "write_reports_csv",
 ]

@@ -78,6 +78,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_critical_value(c: float) -> float:
+    if not 0.0 <= c < math.inf:  # a NaN threshold would never reject
+        raise ValueError(f"critical value must be finite and nonnegative, got {c}")
+    return float(c)
+
+
 def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
                   grid_points: int, out: np.ndarray | None = None,
                   scratch: np.ndarray | None = None) -> np.ndarray:
@@ -166,6 +172,8 @@ def sup_quantile(sups, alpha: float) -> float:
     r = arr.size
     if r < 1:
         raise ValueError("need at least one supremum")
+    if not np.isfinite(arr).all():
+        raise ValueError("suprema must be finite")
     _check_alpha(alpha)
     rank = min(max(math.ceil((1.0 - alpha) * r), 1), r)
     return float(np.partition(arr, rank - 1)[rank - 1])

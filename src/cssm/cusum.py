@@ -71,12 +71,11 @@ def inv_sqrt(C) -> np.ndarray:
     """Symmetric positive-definite S with ``S @ C @ S = I``.
 
     Computed by eigendecomposition; accepts a :class:`CovMatrix` or a
-    plain symmetric positive-definite array.
+    plain array that passes its checks (square, finite, exactly symmetric).
     """
-    mat = C.entries if isinstance(C, CovMatrix) else np.asarray(C, dtype=np.float64)
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
-    eigvals, eigvecs = np.linalg.eigh(mat)
+    if not isinstance(C, CovMatrix):
+        C = CovMatrix(C, L=len(np.atleast_1d(C)) - 1)
+    eigvals, eigvecs = np.linalg.eigh(C.entries)
     if eigvals[0] <= 0.0:
         raise ValueError(
             f"matrix is not positive definite (min eigenvalue {eigvals[0]:.3e})"
@@ -84,25 +83,22 @@ def inv_sqrt(C) -> np.ndarray:
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
-def cusum_path(x, C: CovMatrix, L: int) -> CusumPath:
+def cusum_path(x, C, L: int) -> CusumPath:
     """CUSUM path ``(k/sqrt(n))^2 * d_k' C^{-1} d_k`` for k = L+1..n-1.
 
     ``d_k`` stacks the lag-0..L differences between the length-k prefix
-    autocovariances and the full-sample ones.  Prefix autocovariances come
-    from running sums, so the whole path costs O(n L) plus O(n L^2) for
-    the weighting.
+    autocovariances and the full-sample ones; a plain array ``C`` is checked
+    as a :class:`CovMatrix` for this L.  Prefix autocovariances come from
+    running sums: O(n L) for the path plus O(n L^2) for the weighting.
     """
     ts = as_timeseries(x)
     n = ts.n
-    if isinstance(C, CovMatrix) and C.L != L:
+    C = C if isinstance(C, CovMatrix) else CovMatrix(C, L)
+    if C.L != L:
         raise ValueError(f"covariance matrix is for L={C.L}, expected L={L}")
     if n < L + 2:
         raise ValueError(f"need n >= L + 2 for a nonempty path, got n={n}, L={L}")
     root = inv_sqrt(C)
-    if root.shape != (L + 1, L + 1):
-        raise ValueError(
-            f"covariance matrix must be {L + 1}x{L + 1}, got {root.shape}"
-        )
     prefix = prefix_autocovs(ts, L)
     diffs = prefix[:-1] - prefix[-1]
     weighted = diffs @ root
@@ -144,12 +140,13 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
         critical_value = _critval.critical_value(
             L, alpha, bridge_cfg, cache_path=cache_path
         )
+    critical_value = _critval._check_critical_value(critical_value)
     best = int(np.argmax(path.values))
     statistic = float(path.values[best])
     return TestResult(
         statistic=statistic,
         change_index=path.k_min + best,
-        critical_value=float(critical_value),
+        critical_value=critical_value,
         reject=statistic >= critical_value,
         L=L,
         n=ts.n,

@@ -42,6 +42,8 @@ class CovMatrix:
     eps_floor: float | None = None
 
     def __post_init__(self) -> None:
+        if self.L < 0:
+            raise ValueError(f"L must be nonnegative, got {self.L}")
         arr = np.array(self.entries, dtype=np.float64, copy=True)
         d = self.L + 1
         if arr.shape != (d, d):
@@ -52,9 +54,6 @@ class CovMatrix:
             raise ValueError("covariance matrix must be exactly symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 def truncation_lag(n: int, beta: float) -> int:
@@ -143,32 +142,12 @@ def _longrun_terms(values: np.ndarray, L: int,
     return terms, raw, floor
 
 
-def theta_bar(x, h: int, k: int, beta: float = DEFAULT_BETA) -> float:
-    """Truncated long-run covariance estimate for the (h, k) lag pair.
-
-    Sums :func:`sigma_bar` over displacements 0..h_n and divides by n, as the
-    unfloored :func:`estimate_longrun_cov` matrix does; symmetric in (h, k).
-    Raises ValueError where that matrix would: on insufficient data, or when
-    the fourth-order products overflow or underflow.
-    """
-    values = as_timeseries(x).values
-    n = values.size
-    lo, hi = min(h, k), max(h, k)
-    if not 0 <= lo <= hi < n:
-        raise ValueError(f"lags must satisfy 0 <= h, k < n, got h={h}, k={k}, n={n}")
-    h_n = truncation_lag(n, beta)
-    if h_n + hi >= n:
-        raise ValueError(f"insufficient data: n={n} but the displacement sum needs "
-                         f"n > h_n + max(h, k) = {h_n + hi}")
-    return float(_longrun_terms(values, hi, h_n)[1][lo, hi])
-
-
 def estimate_longrun_cov(x, L: int, beta: float = DEFAULT_BETA) -> CovMatrix:
     """Estimated long-run covariance matrix of the lag-0..L autocovariances.
 
-    Computes every :func:`theta_bar` entry at once, with displacement cutoff
-    ``h_n = floor(n**beta)`` for ``beta`` in (0, 1/2), then floors the
-    eigenvalues so the returned matrix is positive definite.  The floor,
+    Entry (h, k) sums :func:`sigma_bar` over displacements up to ``h_n =
+    floor(n**beta)``, ``beta`` in (0, 1/2), and divides by n; the eigenvalues
+    are then floored so the returned matrix is positive definite.  The floor,
     kept in ``eps_floor``, follows the scale of the data: ``1e-8 * trace /
     (L+1)`` of the raw matrix, or ``1e-8 * gamma_hat(0)**2`` when that trace
     is not positive, and 1e-12 for an all-zero series.  This works in data

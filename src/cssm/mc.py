@@ -44,8 +44,8 @@ _SEED_STRIDE = 1 << 21
 class Scenario:
     """One replicated experiment: a change spec plus test settings.
 
-    ``alpha``, the estimator's cutoff exponent ``beta`` and ``seed`` are checked
-    here, so a bad value fails at construction, not in every replication.
+    ``L``, ``alpha``, the cutoff exponent ``beta`` and ``seed`` are checked here,
+    so a bad value fails at construction, not in every replication.
     """
 
     label: str
@@ -60,6 +60,8 @@ class Scenario:
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
         truncation_lag(self.n, self.beta)
+        if self.L < 0:
+            raise ValueError(f"L must be nonnegative, got {self.L}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
@@ -133,7 +135,7 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
     tested alone by :func:`cssm_test`.  A path does not depend on the chunk
     it was simulated in, so the report is a pure function of the scenario.
     The critical value is resolved once up front from the built-in table
-    unless ``critical_value`` is given.
+    unless ``critical_value`` is given, and checked before any replication.
 
     ``workers`` is deprecated and ignored: a thread pool over the Python
     simulators only made runs slower.  Any value other than 1 raises a
@@ -145,6 +147,7 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
                       DeprecationWarning, stacklevel=2)
     if critical_value is None:
         critical_value = _critval.critical_value(scenario.L, scenario.alpha)
+    _critval._check_critical_value(critical_value)
     start = time.perf_counter()
     failures = 0
     reject_locs = []

@@ -102,11 +102,6 @@ class ModelSpec:
     def garch11(cls, omega: float, alpha: float, beta: float) -> "ModelSpec":
         return cls(Family.GARCH11, (omega, alpha, beta))
 
-    def describe(self) -> str:
-        names = _PARAM_NAMES[self.family]
-        parts = [f"{name}={value:g}" for name, value in zip(names, self.params)]
-        return f"{self.family.value}({', '.join(parts)})"
-
 
 @dataclass(frozen=True)
 class ChangeSpec:

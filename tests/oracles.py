@@ -64,6 +64,22 @@ def sigma_bar_reference(x, h: int, k: int, lag: int) -> float:
     return total
 
 
+def longrun_matrix_reference(x, L: int, beta: float = 0.3) -> np.ndarray:
+    """Unfloored long-run covariance matrix by literal displacement loops.
+
+    Entry (h, k) sums :func:`sigma_bar_reference` over displacements
+    0..h_n, with h_n = floor(n**beta) clamped to [1, n-1], and divides by n.
+    """
+    n = len(x)
+    h_n = min(max(math.floor(n ** beta), 1), n - 1)
+    out = np.empty((L + 1, L + 1))
+    for h in range(L + 1):
+        for k in range(h, L + 1):
+            total = sum(sigma_bar_reference(x, h, k, lag) for lag in range(h_n + 1))
+            out[h, k] = out[k, h] = total / n
+    return out
+
+
 def read_series_reference(path) -> list[float]:
     """Per-line parse of a one-value-per-line file, raising on the first bad line.
 

@@ -173,6 +173,18 @@ class TestDetect:
         assert "minimum usable n" in err
         assert not cache.exists()
 
+    def test_nan_cache_record_exits_2(self, tmp_path, capsys):
+        # a NaN threshold would never reject; it must not reach the decision
+        f = tmp_path / "x.txt"
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 300, seed=3).values
+        f.write_text("".join(f"{v:.17g}\n" for v in x))
+        cache = tmp_path / "cache.txt"
+        cache.write_text("2 0.05 200 2000 9 nan\n")
+        code, _, err = run_cli("detect", str(f), "--L", "2", "--grid", "200", "--reps", "2000",
+                               "--seed", "9", "--cache", str(cache), capsys=capsys)
+        assert code == 2
+        assert "critical value must be finite" in err
+
     def test_variance_change_detected_near_break(self, tmp_path, capsys):
         sim = tmp_path / "fig4.txt"
         assert main([

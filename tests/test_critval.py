@@ -172,6 +172,13 @@ class TestSupQuantile:
         rank = min(max(math.ceil((1 - alpha) * len(values)), 1), len(values))
         assert got == sorted(values)[rank - 1]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_suprema(self, bad):
+        # np.partition would rank NaN above every value, and inf is no quantile
+        for alpha in (0.1, 0.5):
+            with pytest.raises(ValueError, match="finite"):
+                sup_quantile([bad, 1.0, 2.0], alpha)
+
     def test_alpha_bounds(self):
         with pytest.raises(ValueError):
             sup_quantile([1.0], 0.0)

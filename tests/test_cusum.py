@@ -8,11 +8,22 @@ from hypothesis import strategies as st
 from cssm.critval import BridgeConfig
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
-from cssm.longrun import CovMatrix, estimate_longrun_cov, sigma_bar, theta_bar
+from cssm.longrun import CovMatrix, estimate_longrun_cov, sigma_bar
 from cssm.mc import rep_seed
 from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 
-from oracles import cusum_sq_l0_reference
+from oracles import cusum_sq_l0_reference, longrun_matrix_reference
+
+# each fails a CovMatrix check (asymmetric: eigh would read only the lower
+# triangle), with its message rather than a LinAlgError or IndexError
+NOT_A_COV_MATRIX = [
+    pytest.param([[1.0, 5.0], [0.0, 1.0]], id="asymmetric"),
+    pytest.param(np.ones((2, 3)), id="2x3"),
+    pytest.param(np.ones(2), id="1-D"),
+    pytest.param(np.zeros((0, 0)), id="0x0"),
+    pytest.param(1.0, id="scalar"),
+]
+COV_MATRIX_CHECKS = r"exactly symmetric|entries must be \dx\d for L=\d|L must be nonnegative"
 
 
 def identity_cov(L: int) -> CovMatrix:
@@ -50,6 +61,11 @@ class TestInvSqrt:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="positive definite"):
             inv_sqrt(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("C", NOT_A_COV_MATRIX)
+    def test_plain_array_gets_the_cov_matrix_checks(self, C):
+        with pytest.raises(ValueError, match=COV_MATRIX_CHECKS):
+            inv_sqrt(C)
 
 
 class TestCusumPath:
@@ -105,6 +121,22 @@ class TestCusumPath:
     def test_too_short(self):
         with pytest.raises(ValueError, match="nonempty path"):
             cusum_path([1.0], identity_cov(0), 0)
+
+    def test_plain_array_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"must be 1x1 for L=0, got \(2, 2\)"):
+            cusum_path([1.0, 2.0, 3.0], np.eye(2), 0)
+
+    @pytest.mark.parametrize("C", NOT_A_COV_MATRIX)
+    @pytest.mark.parametrize("L", [0, 1])
+    def test_plain_array_gets_the_cov_matrix_checks(self, C, L):
+        with pytest.raises(ValueError, match=COV_MATRIX_CHECKS):
+            cusum_path(np.random.default_rng(6).standard_normal(30), C, L)
+
+    def test_plain_array_matches_cov_matrix(self):
+        x = np.random.default_rng(7).standard_normal(40)
+        C = np.array([[2.0, 0.3], [0.3, 1.0]])
+        want = cusum_path(x, CovMatrix(C, L=1), 1).values
+        assert cusum_path(x, C, 1).values.tobytes() == want.tobytes()
 
 
 class TestCusumPathType:
@@ -165,7 +197,7 @@ class TestCssmTest:
     def test_scale_invariance_when_raw_trace_is_not_positive(self):
         # the fallback floor must follow the scale of the data too
         x = np.random.default_rng(188).standard_normal(20)
-        assert theta_bar(x, 0, 0) + theta_bar(x, 1, 1) <= 0.0
+        assert np.trace(longrun_matrix_reference(x, 1)) <= 0.0
         base = cssm_test(x, 1, critical_value=2.408)
         for scale in (1e-4, 1e-40, 1e60):
             scaled = cssm_test(scale * x, 1, critical_value=2.408)
@@ -204,6 +236,26 @@ class TestCssmTest:
             cssm_test(x, 1, alpha=alpha, critical_value=2.408)
         with pytest.raises(ValueError, match="alpha"):  # checked before the data
             cssm_test(x.values[:3], 1, alpha=alpha, critical_value=2.408)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_critical_value_must_be_a_finite_threshold(self, c):
+        # a NaN threshold never rejects; none of these is a quantile of the law
+        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
+        with pytest.raises(ValueError, match="critical value must be finite"):
+            cssm_test(x, 1, critical_value=c)
+
+    def test_zero_and_huge_critical_values_stay_valid(self):
+        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
+        assert cssm_test(x, 1, critical_value=0.0).reject
+        assert not cssm_test(x, 1, critical_value=1e12).reject
+
+    def test_nan_cache_record_raises(self, tmp_path):
+        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
+        cache = tmp_path / "cache.txt"
+        cache.write_text("1 0.01 200 2000 9 nan\n")
+        cfg = BridgeConfig(grid_points=200, replications=2000, seed=9)
+        with pytest.raises(ValueError, match="critical value must be finite"):
+            cssm_test(x, 1, alpha=0.01, bridge_cfg=cfg, cache_path=cache)
 
     def test_unknown_alpha_without_bridge_config(self):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 
 from cssm.longrun import (
     CovMatrix,
+    _longrun_terms,
     _min_usable_n,
     bartlett_linear,
     estimate_longrun_cov,
     sigma_bar,
-    theta_bar,
     truncation_lag,
 )
 from cssm.cusum import cssm_test
 from cssm.mc import Scenario
 from cssm.models import ChangeSpec, ModelSpec, simulate
 
-from oracles import ma1_longrun_matrix, sigma_bar_reference
+from oracles import longrun_matrix_reference, ma1_longrun_matrix, sigma_bar_reference
 
 
 class TestTruncationLag:
@@ -102,23 +102,32 @@ class TestSigmaBar:
 
 
 class TestThetaBar:
+    """The paper's theta_bar_{h,k}, read as entries of the estimated matrix."""
+
     def test_zero_series(self):
-        assert theta_bar([0.0] * 20, 0, 0) == 0.0
+        # all raw entries are zero, so only the all-zero series' floor remains
+        assert not longrun_matrix_reference([0.0] * 20, 2).any()
+        cov = estimate_longrun_cov([0.0] * 20, 2)
+        np.testing.assert_allclose(cov.entries, 1e-12 * np.eye(3), rtol=1e-12)
 
     def test_symmetric_in_lags(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(60)
-        assert theta_bar(x, 0, 1) == theta_bar(x, 1, 0)
-        assert theta_bar(x, 0, 2) == theta_bar(x, 2, 0)
+        cov = estimate_longrun_cov(x, 2)
+        assert cov.entries[0, 1] == cov.entries[1, 0]
+        assert cov.entries[0, 2] == cov.entries[2, 0]
+        raw = longrun_matrix_reference(x, 2)
+        assert np.linalg.eigvalsh(raw)[0] > cov.eps_floor
+        np.testing.assert_allclose(cov.entries, raw, rtol=0, atol=1e-9 * np.abs(x).max() ** 4)
 
     def test_ma1_converges_to_closed_form(self):
         # c_00 for theta=0.5, sigma=1 is 2(1 + 4 theta^2 + theta^4) = 4.125
         x = simulate(ModelSpec.ma2(0.5, 0.0), 20000, seed=1000)
-        assert theta_bar(x, 0, 0) == pytest.approx(4.125, rel=0.10)
+        assert estimate_longrun_cov(x, 0).entries[0, 0] == pytest.approx(4.125, rel=0.10)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient"):
-            theta_bar([1.0, 2.0, 3.0], 0, 2)
+            estimate_longrun_cov([1.0, 2.0, 3.0], 2)
 
 
 class TestEstimateLongrunCov:
@@ -134,7 +143,7 @@ class TestEstimateLongrunCov:
         for _ in range(20):
             x = rng.standard_normal(int(rng.integers(30, 200)))
             cov = estimate_longrun_cov(x, 2)
-            assert cov.min_eigenvalue() >= cov.eps_floor * (1 - 1e-9)
+            assert np.linalg.eigvalsh(cov.entries)[0] >= cov.eps_floor * (1 - 1e-9)
 
     def test_zero_series_gives_floor_identity(self):
         cov = estimate_longrun_cov([0.0] * 50, 1)
@@ -151,14 +160,16 @@ class TestEstimateLongrunCov:
                 estimate_longrun_cov(scale * x, L)
 
     def test_theta_bar_and_sigma_bar_raise_where_the_matrix_underflows(self):
-        # one guard for all three: no silent 0.0 or subnormal entries
+        # one guard for the matrix and its sigma_bar terms: no silent 0.0 or
+        # subnormal entries
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
         for scale in (1e-80, 1e-90):
             with pytest.raises(ValueError, match="underflow.*rescale"):
-                theta_bar(scale * x, 0, 1)
+                estimate_longrun_cov(scale * x, 1)
             with pytest.raises(ValueError, match="underflow.*rescale"):
                 sigma_bar(scale * x, 0, 1, 2)
-        assert theta_bar(1e-74 * x, 0, 1) == pytest.approx(1e-296 * theta_bar(x, 0, 1), rel=1e-9)
+        assert estimate_longrun_cov(1e-74 * x, 1).entries[0, 1] == pytest.approx(
+            1e-296 * estimate_longrun_cov(x, 1).entries[0, 1], rel=1e-9)
         assert sigma_bar(1e-74 * x, 0, 1, 2) == pytest.approx(1e-296 * sigma_bar(x, 0, 1, 2),
                                                               rel=1e-9)
 
@@ -171,7 +182,7 @@ class TestEstimateLongrunCov:
 
     def test_zero_series_auto_floor_still_positive(self):
         cov = estimate_longrun_cov([0.0] * 50, 1)
-        assert cov.min_eigenvalue() > 0.0
+        assert np.linalg.eigvalsh(cov.entries)[0] > 0.0
 
     def test_symmetry_is_exact(self):
         x = simulate(ModelSpec.arma11(0.3, 0.2), 400, seed=5)
@@ -186,10 +197,10 @@ class TestEstimateLongrunCov:
         rng = np.random.default_rng(23)
         x = rng.standard_normal(300)
         cov = estimate_longrun_cov(x, 1)
+        raw = longrun_matrix_reference(x, 1)
         # raw entries survive regularization when well-conditioned
-        for h in range(2):
-            for k in range(2):
-                assert cov.entries[h, k] == pytest.approx(theta_bar(x, h, k), abs=1e-10)
+        assert np.linalg.eigvalsh(raw)[0] > cov.eps_floor
+        np.testing.assert_allclose(cov.entries, raw, rtol=0, atol=1e-10)
 
 
 class TestEstimatorMatchesLoopOracle:
@@ -200,23 +211,12 @@ class TestEstimatorMatchesLoopOracle:
     for the narrower ones, so both limits are exercised.
     """
 
-    @staticmethod
-    def oracle(x, L: int) -> np.ndarray:
-        n = len(x)
-        h_n = truncation_lag(n, 0.3)
-        out = np.empty((L + 1, L + 1))
-        for h in range(L + 1):
-            for k in range(h, L + 1):
-                total = sum(sigma_bar_reference(x, h, k, lag) for lag in range(h_n + 1))
-                out[h, k] = out[k, h] = total / n
-        return out
-
     @pytest.mark.parametrize("L", [0, 1, 2, 4])
     @pytest.mark.parametrize("at_minimum", [True, False])
     def test_matrix_and_theta_bar_match_loops(self, L, at_minimum):
         n = _min_usable_n(L, 0.3) if at_minimum else 60
         x = np.random.default_rng(1000 + 10 * L + n).standard_normal(n)
-        raw = self.oracle(x, L)
+        raw = longrun_matrix_reference(x, L)
         tol = 1e-9 * np.abs(x).max() ** 4  # rounding scales with the summands
         # flooring every eigenvalue at the estimator's automatic floor is the
         # reference regularization; on well-conditioned input it leaves the
@@ -226,17 +226,16 @@ class TestEstimatorMatchesLoopOracle:
         want = (v * np.maximum(w, cov.eps_floor)) @ v.T
         got = cov.entries
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-        for h in range(L + 1):
-            for k in range(L + 1):
-                theta = theta_bar(x, h, k)
-                assert theta == pytest.approx(raw[h, k], rel=0, abs=tol)
-                if w[0] > cov.eps_floor:
-                    assert theta == pytest.approx(got[h, k], rel=0, abs=tol)
+        if w[0] > cov.eps_floor:  # the floor did not fire: the raw entries remain
+            np.testing.assert_allclose(got, raw, rtol=0, atol=tol)
+        # the raw sums themselves, also at the minimum n, where the floor fires
+        unfloored = _longrun_terms(x, L, truncation_lag(n, 0.3))[1]
+        np.testing.assert_allclose(unfloored, raw, rtol=0, atol=tol)
 
     def test_well_conditioned_case_is_covered(self):
         x = np.random.default_rng(1000 + 10 * 4 + 60).standard_normal(60)
         floor = estimate_longrun_cov(x, 4).eps_floor
-        assert np.linalg.eigvalsh(self.oracle(x, 4))[0] > floor
+        assert np.linalg.eigvalsh(longrun_matrix_reference(x, 4))[0] > floor
 
 
 class TestBartlettLinear:
@@ -287,3 +286,7 @@ class TestCovMatrixType:
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             CovMatrix(bad, L=1)
+
+    def test_rejects_negative_L(self):
+        with pytest.raises(ValueError, match="L must be nonnegative"):
+            CovMatrix(np.zeros((0, 0)), L=-1)

@@ -55,6 +55,12 @@ class TestScenario:
         with pytest.raises(ValueError, match="beta"):
             Scenario("bad beta", ChangeSpec(150, before, before), 300, beta=beta)
 
+    def test_rejects_negative_L(self):
+        # every replication would fail and the power would be NaN
+        before = ModelSpec.arma11(0.2, 0.1)
+        with pytest.raises(ValueError, match="L must be nonnegative"):
+            Scenario("bad L", ChangeSpec(5, before, before), 10, L=-1)
+
     def test_rejects_negative_seed(self):
         # default_rng rejects negative seeds, so every replication would fail
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -109,6 +115,17 @@ class TestRunScenario:
     def test_explicit_critical_value_short_circuits(self):
         rep = run_scenario(arma_scenario(reps=10), critical_value=0.0)
         assert rep.power == 1.0
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_critical_value_must_be_a_finite_threshold(self, c, monkeypatch):
+        # a NaN threshold would report power 0 with no failures; it must
+        # raise before the first replication
+        def no_replication(*args, **kwargs):
+            raise AssertionError("replication ran")
+
+        monkeypatch.setattr(mc, "simulate_with_change", no_replication)
+        with pytest.raises(ValueError, match="critical value must be finite"):
+            run_scenario(arma_scenario(reps=20), critical_value=c)
 
 
 def _one_cell_per_family(reps: int) -> dict[str, Scenario]:

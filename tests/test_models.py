@@ -47,9 +47,6 @@ class TestModelSpecValidation:
         spec = ModelSpec("ma2", (0.1, 0.2))
         assert spec.family is Family.MA2
 
-    def test_describe(self):
-        assert ModelSpec.arma11(0.2, 0.1).describe() == "arma11(phi=0.2, theta=0.1)"
-
 
 class TestChangeSpec:
     def test_family_must_match(self):
