@@ -7,12 +7,7 @@ Works for linear and nonlinear weakly dependent series (ARMA, GARCH,
 m-dependent products, ...).
 """
 
-from .autocov import (
-    TimeSeries,
-    as_timeseries,
-    prefix_autocovs,
-    sample_autocov,
-)
+from .autocov import TimeSeries, as_timeseries, prefix_autocovs
 from .critval import (
     BUILTIN_TABLE,
     DEFAULT_SEED,
@@ -66,7 +61,6 @@ __all__ = [
     "rep_seed",
     "run_scenario",
     "run_table",
-    "sample_autocov",
     "sigma_bar",
     "simulate",
     "simulate_bridge_sup",

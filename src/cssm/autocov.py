@@ -1,4 +1,4 @@
-"""Sample autocovariances and their prefix sequences.
+"""Time series and the sample autocovariances of their prefixes.
 
 Everything here uses the uncentered, divisor-n convention
 
@@ -17,6 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _real_copy(x, what: str) -> np.ndarray:
+    """A float64 copy of ``x``; complex input raises instead of losing its imaginary part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.array(x, dtype=np.float64, copy=True)
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Immutable one-dimensional series of finite real observations."""
@@ -24,7 +31,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = _real_copy(self.values, "series")
         if arr.ndim != 1:
             raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
@@ -46,36 +53,7 @@ def as_timeseries(x) -> TimeSeries:
     """Coerce an array-like into a :class:`TimeSeries`; no-op if it is one."""
     if isinstance(x, TimeSeries):
         return x
-    return TimeSeries(np.asarray(x, dtype=np.float64))
-
-
-def _check_lag(h: int, n: int) -> None:
-    if not 0 <= h < n:
-        raise ValueError(f"lag must be in [0, {n - 1}], got {h}")
-
-
-def _autocov(values: np.ndarray, h: int) -> float:
-    """Divisor-n lag-h autocovariance of a validated array."""
-    n = values.size
-    if h == 0:
-        return float(values @ values) / n
-    return float(values[:-h] @ values[h:]) / n
-
-
-def sample_autocov(x, h: int) -> float:
-    """Lag-h sample autocovariance ``(1/n) * sum_{i<=n-h} x_i x_{i+h}``.
-
-    The divisor is n (not n-h) and no centering is applied.
-
-    Parameters
-    ----------
-    x : TimeSeries or array-like
-    h : int
-        Lag, must satisfy ``0 <= h < n``.
-    """
-    values = as_timeseries(x).values
-    _check_lag(h, values.size)
-    return _autocov(values, h)
+    return TimeSeries(x)
 
 
 def prefix_autocovs(x, L: int) -> np.ndarray:

@@ -235,7 +235,7 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     if cache_path is not None:
         cached = _cache_lookup(cache_path, key)
         if cached is not None:
-            return cached
+            return _check_critical_value(cached)
     c = sup_quantile(simulate_bridge_sup(L, cfg), alpha)
     if cache_path is not None:
         _cache_append(cache_path, key, c)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _autocov, as_timeseries
+from .autocov import _real_copy, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
 
@@ -44,7 +44,7 @@ class CovMatrix:
     def __post_init__(self) -> None:
         if self.L < 0:
             raise ValueError(f"L must be nonnegative, got {self.L}")
-        arr = np.array(self.entries, dtype=np.float64, copy=True)
+        arr = _real_copy(self.entries, "covariance matrix")
         d = self.L + 1
         if arr.shape != (d, d):
             raise ValueError(f"entries must be {d}x{d} for L={self.L}, got {arr.shape}")
@@ -127,7 +127,7 @@ def _longrun_terms(values: np.ndarray, L: int,
         sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
         lags = np.arange(h_n + 1)[:, None, None]
         counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
-        g = np.array([_autocov(values, h) for h in range(L + 1)])
+        g = np.array([values[:n - h] @ values[h:] for h in range(L + 1)]) / n
         terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
         raw = terms.sum(axis=0) / n
         if not np.isfinite(raw).all():
@@ -206,7 +206,7 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
     every nonzero term for finite-support gamma.  The result carries the
     fourth power of the innovation scale.
     """
-    g = np.asarray(gamma, dtype=np.float64).ravel()
+    g = _real_copy(gamma, "gamma").ravel()
     if g.size < 1:
         raise ValueError("gamma must contain at least the lag-0 value")
     if not np.isfinite(g).all():

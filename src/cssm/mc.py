@@ -30,7 +30,7 @@ import numpy as np
 from . import critval as _critval
 from .critval import DEFAULT_ALPHA, DEFAULT_SEED
 from .cusum import cssm_test
-from .longrun import DEFAULT_BETA, truncation_lag
+from .longrun import DEFAULT_BETA, _min_usable_n
 from .models import ChangeSpec, ModelSpec, simulate_with_change
 
 DEFAULT_REPLICATIONS = 1000  # per scenario of the study
@@ -44,8 +44,9 @@ _SEED_STRIDE = 1 << 21
 class Scenario:
     """One replicated experiment: a change spec plus test settings.
 
-    ``L``, ``alpha``, the cutoff exponent ``beta`` and ``seed`` are checked here,
-    so a bad value fails at construction, not in every replication.
+    ``L``, ``alpha``, the cutoff exponent ``beta``, ``seed`` and whether ``n``
+    is long enough for ``L`` and ``beta`` are checked here, so a bad value
+    fails at construction, not in every replication.
     """
 
     label: str
@@ -59,9 +60,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
-        truncation_lag(self.n, self.beta)
         if self.L < 0:
             raise ValueError(f"L must be nonnegative, got {self.L}")
+        n_min = _min_usable_n(self.L, self.beta)  # also checks beta
+        if self.n < n_min:
+            raise ValueError(
+                f"insufficient data: n={self.n} with L={self.L}, beta={self.beta}; "
+                f"minimum usable n is {n_min}"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:

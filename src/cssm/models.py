@@ -11,15 +11,15 @@ only discontinuity.
 Every simulator takes ``seed`` as an int, for one path as a
 :class:`TimeSeries`, or as a sequence of ints, for one path per seed as the
 rows of a read-only array.  Row r of the array is byte-identical to the
-int call with ``seed[r]``: the paths are recursed side by side, one time
-step at a time over all rows, so simulating many is much cheaper per path
+int call with ``seed[r]``: each recursion is written once and steps time
+over all rows together, so simulating many paths is much cheaper per path
 than simulating them one by one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,29 +139,27 @@ def _innovations(seeds: list[int], size: int, pad: int = 0) -> np.ndarray:
 
 
 # Each kernel maps a (T, p) parameter table (row t: step t's parameters) and
-# R seeds to a (T, R) array of paths.  The recursions step time in Python
-# over R-length rows, in place and in the operation order of the scalar
-# recursion, so column j is bit-identical to a one-seed run; with one seed
-# they iterate plain Python floats, which is about 10x faster per step.
+# R seeds to a (T, R) array of paths.  ARMA and GARCH each step time in one
+# Python loop over the rows of all R paths; with one seed the loop steps over
+# plain Python floats instead, which is about 10x faster per step.
+
+def _steps(z: np.ndarray) -> tuple[list[float] | np.ndarray, Callable]:
+    """What a recursion steps over for the (T, R) array ``z``, and its sqrt."""
+    if z.shape[1] == 1:
+        return z[:, 0].tolist(), math.sqrt
+    return z, np.sqrt
+
 
 def _sim_arma11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     phi, theta = params.T
     z = _innovations(seeds, len(params), pad=1)
-    z[1:] += theta[:, None] * z[:-1]
-    out = z[1:]  # the drive e_t + theta_t e_{t-1}, recursed in place
-    if len(seeds) == 1:
-        prev, path = 0.0, []
-        for phi_t, drive_t in zip(phi.tolist(), out[:, 0].tolist()):
-            prev = phi_t * prev + drive_t
-            path.append(prev)
-        out[:, 0] = path
-        return out
-    prev, step = np.zeros(len(seeds)), np.empty(len(seeds))
-    for phi_t, row in zip(phi.tolist(), out):
-        np.multiply(prev, phi_t, out=step)
-        row += step
-        prev = row
-    return out
+    z[1:] += theta[:, None] * z[:-1]  # the drive e_t + theta_t e_{t-1}
+    drive, _ = _steps(z[1:])
+    prev, path = 0.0, []
+    for phi_t, drive_t in zip(phi.tolist(), drive):
+        prev = phi_t * prev + drive_t
+        path.append(prev)
+    return np.array(path).reshape(len(params), len(seeds))
 
 
 def _sim_ma2(params: np.ndarray, seeds: list[int]) -> np.ndarray:
@@ -185,35 +183,19 @@ def _sim_product2dep(params: np.ndarray, seeds: list[int]) -> np.ndarray:
 
 
 def _sim_garch11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
-    z = _innovations(seeds, len(params))  # scaled in place into the path
-    single = len(seeds) == 1
-    steps = zip(*params.T.tolist(), z[:, 0].tolist() if single else z)
+    z = _innovations(seeds, len(params))
+    rows, sqrt = _steps(z)
+    steps = zip(*params.T.tolist(), rows)
     # Start from the stationary variance of the pre-break parameters.
     omega, alpha, beta, e = next(steps)
     var = omega / (1.0 - alpha - beta)
-    if single:
-        prev = math.sqrt(var) * e
-        path = [prev]
-        for omega, alpha, beta, e in steps:
-            var = omega + alpha * prev * prev + beta * var
-            prev = math.sqrt(var) * e
-            path.append(prev)
-        z[:, 0] = path
-        return z
-    prev = e
-    prev *= math.sqrt(var)
-    var, step = np.full(len(seeds), var), np.empty(len(seeds))
-    for omega, alpha, beta, row in steps:
-        # var = omega + alpha * prev * prev + beta * var
-        np.multiply(prev, alpha, out=step)
-        step *= prev
-        step += omega
-        var *= beta
-        var += step
-        np.sqrt(var, out=step)
-        row *= step
-        prev = row
-    return z
+    prev = sqrt(var) * e
+    path = [prev]
+    for omega, alpha, beta, e in steps:
+        var = omega + alpha * prev * prev + beta * var
+        prev = sqrt(var) * e
+        path.append(prev)
+    return np.array(path).reshape(z.shape)
 
 
 _SIMULATORS = {

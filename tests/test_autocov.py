@@ -1,14 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cssm.autocov import (
-    TimeSeries,
-    as_timeseries,
-    prefix_autocovs,
-    sample_autocov,
-)
+from cssm.autocov import TimeSeries, as_timeseries, prefix_autocovs
+from cssm.cusum import cssm_test
 
 from oracles import autocov_reference
 
@@ -51,30 +49,40 @@ class TestTimeSeries:
         ts = TimeSeries([1.0])
         assert as_timeseries(ts) is ts
 
+    def test_rejects_complex_without_warning(self):
+        # converting would drop the imaginary part behind a ComplexWarning
+        x = np.random.default_rng(3).standard_normal(300) + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (TimeSeries, as_timeseries, lambda v: prefix_autocovs(v, 1),
+                         lambda v: cssm_test(v, 1, critical_value=2.408)):
+                with pytest.raises(ValueError, match="series must be real"):
+                    call(x)
+            with pytest.raises(ValueError, match="series must be real"):
+                TimeSeries([1.0, 2j])
+
+
+def full_sample_autocov(xs, h: int) -> float:
+    """gamma_hat_n(h) of the whole series: the last row of its prefix autocovariances."""
+    return prefix_autocovs(xs, h)[-1, h]
+
 
 class TestSampleAutocov:
     def test_alternating_lag0(self):
-        assert sample_autocov([1, -1, 1, -1], 0) == 1.0
-        assert sample_autocov([2, 0, 2, 0], 0) == 2.0
+        assert full_sample_autocov([1, -1, 1, -1], 0) == 1.0
+        assert full_sample_autocov([2, 0, 2, 0], 0) == 2.0
 
     def test_alternating_lag1(self):
-        assert sample_autocov([1, -1, 1, -1], 1) == -0.75
+        assert full_sample_autocov([1, -1, 1, -1], 1) == -0.75
 
     def test_zero_series(self):
-        assert sample_autocov([0, 0, 0, 0, 0], 2) == 0.0
-
-    def test_lag_out_of_range(self):
-        assert sample_autocov([1, 2, 3], 2) == 1.0  # the largest lag, n - 1, is in range
-        with pytest.raises(ValueError, match="lag"):
-            sample_autocov([1.0, 2.0], 2)
-        with pytest.raises(ValueError, match="lag"):
-            sample_autocov([1.0, 2.0], -1)
+        assert full_sample_autocov([0, 0, 0, 0, 0], 2) == 0.0
 
     @given(series_lists, st.integers(min_value=0, max_value=10))
     def test_matches_direct_summation(self, xs, h):
         if h >= len(xs):
             h = len(xs) - 1
-        got = sample_autocov(xs, h)
+        got = full_sample_autocov(xs, h)
         want = autocov_reference(xs, h)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -82,7 +90,7 @@ class TestSampleAutocov:
 class TestAutocovProperties:
     @given(series_lists)
     def test_lag0_nonnegative(self, xs):
-        assert sample_autocov(xs, 0) >= 0.0
+        assert full_sample_autocov(xs, 0) >= 0.0
 
     @given(
         series_lists,
@@ -94,9 +102,9 @@ class TestAutocovProperties:
     def test_scale_equivariance(self, xs, c, h):
         if h >= len(xs):
             h = len(xs) - 1
-        base = sample_autocov(xs, h)
-        scaled = sample_autocov([c * v for v in xs], h)
-        # A floating-point dot product is accurate relative to sum |x_i x_{i+h}|,
+        base = full_sample_autocov(xs, h)
+        scaled = full_sample_autocov([c * v for v in xs], h)
+        # A floating-point sum of products is accurate relative to sum |x_i x_{i+h}|,
         # not to a sum that cancels (Higham 2002, Accuracy and Stability of
         # Numerical Algorithms, sec. 3.1); with products of one sign the two agree.
         magnitude = sum(abs(a * b) for a, b in zip(xs, xs[h:])) / len(xs)
@@ -127,7 +135,7 @@ class TestPrefixAutocovs:
             x = rng.standard_normal(n)
             out = prefix_autocovs(x, L)
             assert len(out) == n - L
-            direct = [sample_autocov(x, h) for h in range(L + 1)]
+            direct = [autocov_reference(x, h) for h in range(L + 1)]
             np.testing.assert_allclose(out[-1], direct, atol=1e-10, rtol=0)
 
     def test_every_prefix_matches_direct(self):
@@ -135,5 +143,5 @@ class TestPrefixAutocovs:
         x = rng.standard_normal(40)
         out = prefix_autocovs(x, 3)
         for j, row in enumerate(out):
-            direct = [sample_autocov(x[: 4 + j], h) for h in range(4)]
+            direct = [autocov_reference(x[: 4 + j], h) for h in range(4)]
             np.testing.assert_allclose(row, direct, atol=1e-12, rtol=0)

@@ -266,6 +266,17 @@ class TestCritvalCommand:
         assert cache.exists()
         assert len(cache.read_text().strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("record", ["nan", "-3"])
+    def test_bad_cache_record_exits_2(self, tmp_path, capsys, record):
+        cache = tmp_path / "cache.txt"
+        cache.write_text(f"2 0.01 200 2000 9 {record}\n")
+        code, out, err = run_cli("critval", "--L", "2", "--alpha", "0.01", "--grid", "200",
+                                 "--reps", "2000", "--seed", "9", "--cache", str(cache),
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "critical value must be finite and nonnegative" in err
+
 
 class TestDefaults:
     def test_flags_default_to_the_library_constants(self):

@@ -229,6 +229,14 @@ class TestCriticalValue:
         cfg = BridgeConfig(grid_points=150, replications=1200, seed=77)
         assert critical_value(3, 0.025, cfg, cache_path=cache) == 9.125
 
+    @pytest.mark.parametrize("record", ["nan", "-3", "inf"])
+    def test_bad_cache_record_raises(self, tmp_path, record):
+        # a cached threshold gets the same check as one passed in
+        cache = tmp_path / "cache.txt"
+        cache.write_text(f"2 0.01 200 2000 9 {record}\n")
+        with pytest.raises(ValueError, match="critical value must be finite and nonnegative"):
+            critical_value(2, 0.01, BridgeConfig(200, 2000, 9), cache_path=cache)
+
 
 class TestCriticalTable:
     def test_monotone_in_alpha_and_L(self):

@@ -15,15 +15,18 @@ from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 from oracles import cusum_sq_l0_reference, longrun_matrix_reference
 
 # each fails a CovMatrix check (asymmetric: eigh would read only the lower
-# triangle), with its message rather than a LinAlgError or IndexError
+# triangle; complex: conversion would drop the imaginary part), with its
+# message rather than a LinAlgError, IndexError or ComplexWarning
 NOT_A_COV_MATRIX = [
     pytest.param([[1.0, 5.0], [0.0, 1.0]], id="asymmetric"),
     pytest.param(np.ones((2, 3)), id="2x3"),
     pytest.param(np.ones(2), id="1-D"),
     pytest.param(np.zeros((0, 0)), id="0x0"),
     pytest.param(1.0, id="scalar"),
+    pytest.param(np.eye(2) * (1 + 1j), id="complex"),
 ]
-COV_MATRIX_CHECKS = r"exactly symmetric|entries must be \dx\d for L=\d|L must be nonnegative"
+COV_MATRIX_CHECKS = (r"exactly symmetric|entries must be \dx\d for L=\d|L must be nonnegative"
+                     r"|must be real")
 
 
 def identity_cov(L: int) -> CovMatrix:

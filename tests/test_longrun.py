@@ -264,6 +264,10 @@ class TestBartlettLinear:
         scaled = bartlett_linear(gamma, eta=3.0, L=1).entries
         np.testing.assert_allclose(scaled, sigma**4 * base, rtol=1e-12)
 
+    def test_rejects_complex_gamma(self):
+        with pytest.raises(ValueError, match="gamma must be real"):
+            bartlett_linear([1.25 + 1j, 0.5], eta=3.0, L=1)
+
     def test_non_gaussian_eta_term(self):
         # eta != 3 shifts entry (i, j) by (eta - 3) g(i) g(j)
         gamma = [2.0, 0.5]
@@ -290,3 +294,7 @@ class TestCovMatrixType:
     def test_rejects_negative_L(self):
         with pytest.raises(ValueError, match="L must be nonnegative"):
             CovMatrix(np.zeros((0, 0)), L=-1)
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="covariance matrix must be real"):
+            CovMatrix(np.eye(2) * (1 + 1j), L=1)

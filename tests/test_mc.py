@@ -61,6 +61,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="L must be nonnegative"):
             Scenario("bad L", ChangeSpec(5, before, before), 10, L=-1)
 
+    def test_rejects_n_too_short_for_L(self):
+        # the estimator would fail in every replication and the power would be NaN
+        spec = ModelSpec.arma11(0.2, 0.1)
+        with pytest.raises(ValueError, match="minimum usable n is 21"):
+            Scenario("short", ChangeSpec(10, spec, spec), 20, L=18, replications=5)
+        shortest = Scenario("shortest", ChangeSpec(10, spec, spec), 21, L=18, replications=5)
+        rep = run_scenario(shortest, critical_value=2.4)
+        assert (rep.replications, rep.failures) == (5, 0)
+
     def test_rejects_negative_seed(self):
         # default_rng rejects negative seeds, so every replication would fail
         with pytest.raises(ValueError, match="seed must be >= 0"):
