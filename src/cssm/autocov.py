@@ -21,7 +21,10 @@ def _real_copy(x, what: str) -> np.ndarray:
     """A float64 copy of ``x``; complex input raises instead of losing its imaginary part."""
     if np.iscomplexobj(x):
         raise ValueError(f"{what} must be real, got complex values")
-    return np.array(x, dtype=np.float64, copy=True)
+    try:
+        return np.array(x, dtype=np.float64, copy=True)
+    except TypeError as exc:  # an object array holding a complex number, say
+        raise ValueError(f"{what} must be real: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

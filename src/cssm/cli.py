@@ -16,7 +16,7 @@ import numpy as np
 
 from .critval import DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig, critical_value
 from .cusum import cssm_test
-from .longrun import DEFAULT_BETA, truncation_lag
+from .longrun import DEFAULT_BETA, _check_usable_n, truncation_lag
 from .mc import DEFAULT_REPLICATIONS, TABLE_IDS, run_table, write_reports_csv
 from .models import (DEFAULT_BURN_IN, ChangeSpec, Family, ModelSpec, simulate,
                      simulate_with_change)
@@ -27,14 +27,17 @@ DEFAULT_CACHE = "cssm_critval_cache.txt"
 def read_series(path) -> np.ndarray:
     """Parse a one-value-per-line text file into an array.
 
-    Raises ValueError naming the offending 1-based line for anything that
-    is not a finite number.
+    Raises ValueError naming the file, and the offending 1-based line for
+    anything that is not a finite number.
     """
     # Text mode folds "\r\n" and "\r" into "\n"; split on "\n" alone, as
     # line iteration does (str.splitlines would also split on "\x0c" etc.).
     # "utf-8-sig" drops a leading byte-order mark, as some editors write one.
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     data = [text for text in map(str.strip, lines) if text and text[0] != "#"]
     try:
         values = np.fromiter(map(float, data), np.float64, count=len(data))
@@ -90,8 +93,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bridge_cfg(args: argparse.Namespace) -> BridgeConfig:
-    return BridgeConfig(grid_points=args.grid, replications=args.reps, seed=args.seed)
+def _critical_value(args: argparse.Namespace) -> float:
+    """The threshold for ``--L`` and ``--alpha``: built in, cached or simulated."""
+    cfg = BridgeConfig(grid_points=args.grid, replications=args.reps, seed=args.seed)
+    return critical_value(args.L, args.alpha, cfg, cache_path=args.cache)
 
 
 def emit_path(path_obj, crit: float, out_path) -> None:
@@ -107,8 +112,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     values = read_series(args.input)
     if args.center:
         values = values - values.mean()
+    # too little data must fail before a bridge simulation or a cache write
+    _check_usable_n(values.size, args.L, args.beta)
     res = cssm_test(values, args.L, args.beta, args.alpha,
-                    bridge_cfg=_bridge_cfg(args), cache_path=args.cache)
+                    critical_value=_critical_value(args))
 
     lines = [
         f"n: {res.n}",
@@ -130,8 +137,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_critval(args: argparse.Namespace) -> int:
-    value = critical_value(args.L, args.alpha, _bridge_cfg(args), cache_path=args.cache)
-    print(format(value, ".17g"))
+    print(format(_critical_value(args), ".17g"))
     return 0
 
 

@@ -13,8 +13,9 @@ on the thread count.
 
 Simulated values can be cached in an append-only text file, one record
 per line: ``L alpha grid replications seed c_value``.  Nothing is kept in
-memory, so repeated calls with a :class:`BridgeConfig` should pass
-``cache_path`` or reuse the value (``cssm_test(..., critical_value=c)``).
+memory.  Only this module simulates or touches the cache: a test outside
+the table takes ``critical_value=c`` from ``c = critical_value(L, alpha,
+BridgeConfig(...), cache_path=...)``.
 """
 
 from __future__ import annotations
@@ -227,10 +228,9 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     if hit is not None:
         return hit
     if cfg is None:
-        raise ValueError(
-            f"no built-in critical value for (L={L}, alpha={alpha}); "
-            "pass a BridgeConfig to simulate one"
-        )
+        raise ValueError(f"no built-in critical value for (L={L}, alpha={alpha}); pass "
+                         "critical_value(L, alpha, BridgeConfig(...)) to cssm_test or "
+                         "run_scenario as critical_value=")
     key = (L, float(alpha), cfg.grid_points, cfg.replications, cfg.seed)
     if cache_path is not None:
         cached = _cache_lookup(cache_path, key)

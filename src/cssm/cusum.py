@@ -15,7 +15,7 @@ import numpy as np
 
 from . import critval as _critval
 from .autocov import as_timeseries, prefix_autocovs
-from .critval import DEFAULT_ALPHA, BridgeConfig
+from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
 
@@ -108,25 +108,18 @@ def cusum_path(x, C, L: int) -> CusumPath:
 
 
 def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
-              *, critical_value: float | None = None,
-              bridge_cfg: BridgeConfig | None = None,
-              cache_path=None) -> TestResult:
+              *, critical_value: float | None = None) -> TestResult:
     """Test for a change in the autocovariance structure at lags 0..L.
 
     Estimates the long-run covariance from the full series with cutoff
     exponent ``beta`` (see :func:`cssm.longrun.estimate_longrun_cov`), builds
-    the CUSUM path, and compares its maximum against the (1-alpha) quantile
-    of the limit law.  The test is scale-free across the whole double range:
-    the series is first divided by the power of two that puts max|x| in
-    [0.5, 1), which changes no rounding for data of ordinary scale.
-
-    The quantile is resolved only after the path, so data that is too short
-    fails before any bridge simulation.  It comes from the built-in table
-    when available; otherwise pass ``bridge_cfg`` (and optionally a
-    ``cache_path``), or a precomputed ``critical_value``, which skips the
-    lookup entirely; repeated calls with a ``bridge_cfg`` should pass one of
-    the two, as simulated values are not kept in memory.
-    ``alpha`` must lie in (0, 1) even when ``critical_value`` is given.
+    the CUSUM path, and compares its maximum against ``critical_value``, by
+    default the built-in (1-alpha) quantile of the limit law; off that table
+    pass one from :func:`cssm.critval.critical_value`, as the test never
+    simulates or touches a file.  ``alpha`` must lie in (0, 1) even when
+    ``critical_value`` is given.  The test is scale-free across the whole
+    double range: the series is first divided by the power of two that puts
+    max|x| in [0.5, 1), which changes no rounding for data of ordinary scale.
 
     Ties in the argmax resolve to the smallest k.  The result carries the
     path itself for plotting or export.
@@ -137,9 +130,7 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
     ts = as_timeseries(np.ldexp(values, -np.frexp(np.abs(values).max())[1]))
     path = cusum_path(ts, estimate_longrun_cov(ts, L, beta), L)
     if critical_value is None:
-        critical_value = _critval.critical_value(
-            L, alpha, bridge_cfg, cache_path=cache_path
-        )
+        critical_value = _critval.critical_value(L, alpha)
     critical_value = _critval._check_critical_value(critical_value)
     best = int(np.argmax(path.values))
     statistic = float(path.values[best])

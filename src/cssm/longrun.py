@@ -72,6 +72,16 @@ def _min_usable_n(L: int, beta: float) -> int:
     return n
 
 
+def _check_usable_n(n: int, L: int, beta: float) -> None:
+    """Raise ValueError naming the smallest usable n unless h_n + L < n; checks L and beta."""
+    if L < 0:
+        raise ValueError(f"L must be nonnegative, got {L}")
+    n_min = _min_usable_n(L, beta)
+    if n < n_min:
+        raise ValueError(f"insufficient data: n={n} with L={L}, beta={beta}; "
+                         f"minimum usable n is {n_min}")
+
+
 def sigma_bar(x, h: int, k: int, lag: int) -> float:
     """Empirical covariance-at-displacement term sigma_bar_{h,k}(lag).
 
@@ -159,24 +169,14 @@ def estimate_longrun_cov(x, L: int, beta: float = DEFAULT_BETA) -> CovMatrix:
     Raises
     ------
     ValueError
-        If ``beta`` is out of range, if ``n`` is too small for the
-        truncation lag, naming the minimum usable length, or if the
-        fourth-order products overflow or underflow, asking for the series
-        to be rescaled.
+        If ``L`` or ``beta`` is out of range, if ``h_n + L >= n``, naming
+        the minimum usable n, or if the fourth-order products overflow or
+        underflow, asking for the series to be rescaled.
     """
     values = as_timeseries(x).values
     n = values.size
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
-    if L + 1 > n:
-        raise ValueError(f"need L + 1 <= n, got L={L} with n={n}")
-    h_n = truncation_lag(n, beta)
-    if h_n + L >= n:
-        raise ValueError(
-            f"insufficient data: n={n} with L={L}, beta={beta} needs "
-            f"n > h_n + L = {h_n + L}; minimum usable n is {_min_usable_n(L, beta)}"
-        )
-    _, raw, floor = _longrun_terms(values, L, h_n)
+    _check_usable_n(n, L, beta)
+    _, raw, floor = _longrun_terms(values, L, truncation_lag(n, beta))
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

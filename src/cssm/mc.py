@@ -30,7 +30,7 @@ import numpy as np
 from . import critval as _critval
 from .critval import DEFAULT_ALPHA, DEFAULT_SEED
 from .cusum import cssm_test
-from .longrun import DEFAULT_BETA, _min_usable_n
+from .longrun import DEFAULT_BETA, _check_usable_n
 from .models import ChangeSpec, ModelSpec, simulate_with_change
 
 DEFAULT_REPLICATIONS = 1000  # per scenario of the study
@@ -60,14 +60,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
-        if self.L < 0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
-        n_min = _min_usable_n(self.L, self.beta)  # also checks beta
-        if self.n < n_min:
-            raise ValueError(
-                f"insufficient data: n={self.n} with L={self.L}, beta={self.beta}; "
-                f"minimum usable n is {n_min}"
-            )
+        _check_usable_n(self.n, self.L, self.beta)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:

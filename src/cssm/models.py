@@ -216,6 +216,9 @@ def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
     seeds = [seed] if single else list(seed)
     if np.ndim(seed) > 1 or not seeds:
         raise ValueError("seed must be an int or a non-empty 1-D sequence of ints")
+    for s in seeds:
+        if not isinstance(s, (int, np.integer)) or s < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {s!r}")
     # Row t holds step t's parameters; the first burn_in + k_star precede the break.
     params = np.repeat([before.params, after.params],
                        [burn_in + k_star, n - k_star], axis=0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cssm.autocov import TimeSeries, as_timeseries, prefix_autocovs
 from cssm.cusum import cssm_test
+from cssm.longrun import CovMatrix, bartlett_linear
 
 from oracles import autocov_reference
 
@@ -60,6 +61,14 @@ class TestTimeSeries:
                     call(x)
             with pytest.raises(ValueError, match="series must be real"):
                 TimeSeries([1.0, 2j])
+
+    def test_rejects_complex_in_object_array(self):
+        # np.iscomplexobj sees only the object dtype, not the complex element
+        x = np.array([1, 2j], dtype=object)
+        for call in (TimeSeries, lambda v: CovMatrix(np.diag(v), L=1),
+                     lambda v: bartlett_linear(v, 3.0, 1)):
+            with pytest.raises(ValueError, match="must be real"):
+                call(x)
 
 
 def full_sample_autocov(xs, h: int) -> float:

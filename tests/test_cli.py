@@ -37,6 +37,15 @@ class TestReadSeries:
         with pytest.raises(ValueError, match="line 2"):
             read_series(f)
 
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"\xff1.0\n2.0\n")
+        with pytest.raises(ValueError, match=f"{f}: not UTF-8 text"):
+            read_series(f)
+        code, _, err = run_cli("detect", str(f), capsys=capsys)
+        assert code == 2
+        assert f"{f}: not UTF-8 text" in err
+
     def test_byte_order_mark_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
         plain.write_text("1.5\n-2.0\n", encoding="utf-8")
@@ -129,6 +138,13 @@ class TestSimulate:
         want = simulate_with_change(change, 5, DEFAULT_SEED)
         np.testing.assert_array_equal(np.array(out.split(), dtype=float), want.values)
 
+    def test_negative_seed_exits_2_naming_seed(self, capsys):
+        code, out, err = run_cli("simulate", "--family", "ma2", "--params", "0.3,0.3",
+                                 "--n", "5", "--seed", "-5", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "seed must be a nonnegative integer, got -5" in err
+
     def test_bad_params_error(self, capsys):
         code, _, err = run_cli(
             "simulate", "--family", "ma2", "--params", "a,b",
@@ -172,6 +188,20 @@ class TestDetect:
         assert code == 2
         assert "minimum usable n" in err
         assert not cache.exists()
+
+    def test_alpha_resolved_by_simulation(self, tmp_path, capsys):
+        # off the built-in table the command simulates the threshold and caches it
+        f = tmp_path / "x.txt"
+        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1).values
+        f.write_text("".join(f"{v:.17g}\n" for v in x))
+        cache = tmp_path / "cache.txt"
+        code, out, _ = run_cli("detect", str(f), "--alpha", "0.01", "--grid", "200",
+                               "--reps", "2000", "--seed", "9", "--cache", str(cache),
+                               capsys=capsys)
+        assert code in (0, 1)
+        want = critical_value(1, 0.01, BridgeConfig(200, 2000, 9))
+        assert f"critical_value: {want:.6g}" in out.splitlines()
+        assert len(cache.read_text().splitlines()) == 1
 
     def test_nan_cache_record_exits_2(self, tmp_path, capsys):
         # a NaN threshold would never reject; it must not reach the decision

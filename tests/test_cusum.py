@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cssm.critval import BridgeConfig
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
 from cssm.longrun import CovMatrix, estimate_longrun_cov, sigma_bar
@@ -252,24 +252,21 @@ class TestCssmTest:
         assert cssm_test(x, 1, critical_value=0.0).reject
         assert not cssm_test(x, 1, critical_value=1e12).reject
 
-    def test_nan_cache_record_raises(self, tmp_path):
-        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
-        cache = tmp_path / "cache.txt"
-        cache.write_text("1 0.01 200 2000 9 nan\n")
-        cfg = BridgeConfig(grid_points=200, replications=2000, seed=9)
-        with pytest.raises(ValueError, match="critical value must be finite"):
-            cssm_test(x, 1, alpha=0.01, bridge_cfg=cfg, cache_path=cache)
-
     def test_unknown_alpha_without_bridge_config(self):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
         with pytest.raises(ValueError, match="BridgeConfig"):
             cssm_test(x, 1, alpha=0.01)
 
-    def test_alpha_resolved_by_simulation(self):
+    def test_threshold_is_the_only_critical_value_argument(self):
+        params = inspect.signature(cssm_test).parameters
+        assert list(params) == ["x", "L", "beta", "alpha", "critical_value"]
+        assert params["critical_value"].kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_no_table_entry_names_critical_value_without_simulating(self, no_bridges):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
-        cfg = BridgeConfig(grid_points=200, replications=2000, seed=9)
-        res = cssm_test(x, 1, alpha=0.01, bridge_cfg=cfg)
-        assert res.critical_value > 2.408  # 1% quantile tops the 5% one
+        with pytest.raises(ValueError, match="critical_value="):
+            cssm_test(x, 2)
+        assert cssm_test(x, 2, critical_value=3.0).critical_value == 3.0
 
     def test_iid_gaussian_level_near_nominal(self):
         # size calibration under the null at the 5% level

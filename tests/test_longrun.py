@@ -193,6 +193,10 @@ class TestEstimateLongrunCov:
         with pytest.raises(ValueError, match="minimum usable n"):
             estimate_longrun_cov([1.0, -1.0, 0.5], 2)
 
+    def test_fewer_points_than_lags_names_minimum(self):
+        with pytest.raises(ValueError, match=f"minimum usable n is {_min_usable_n(10, 0.3)}"):
+            estimate_longrun_cov(np.ones(5), 10)
+
     def test_matches_sum_of_theta_bars(self):
         rng = np.random.default_rng(23)
         x = rng.standard_normal(300)

@@ -70,6 +70,13 @@ class TestScenario:
         rep = run_scenario(shortest, critical_value=2.4)
         assert (rep.replications, rep.failures) == (5, 0)
 
+    def test_no_table_entry_names_critical_value_without_simulating(self, no_bridges):
+        spec = ModelSpec.arma11(0.2, 0.1)
+        scenario = Scenario("L=2", ChangeSpec(150, spec, spec), 300, L=2, replications=2)
+        with pytest.raises(ValueError, match="critical_value="):
+            run_scenario(scenario)
+        assert run_scenario(scenario, critical_value=3.0).replications == 2
+
     def test_rejects_negative_seed(self):
         # default_rng rejects negative seeds, so every replication would fail
         with pytest.raises(ValueError, match="seed must be >= 0"):

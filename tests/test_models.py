@@ -161,10 +161,12 @@ class TestBatchedSimulators:
         got = simulate(spec, 30, np.array([3, 4]))
         assert got[1].tobytes() == simulate(spec, 30, 4).values.tobytes()
 
-    @pytest.mark.parametrize("seed", [[], -1, [5, -1], [[1, 2]]],
-                             ids=["empty", "negative", "negative-row", "2-d"])
+    # numpy's own errors do not name the seed, and a float seed raises TypeError there
+    @pytest.mark.parametrize("seed", [[], -1, [5, -1], [[1, 2]], 1.5, [3, 2.0], np.float64(4)],
+                             ids=["empty", "negative", "negative-row", "2-d", "float",
+                                  "float-row", "np.float64"])
     def test_bad_seed(self, seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed must be"):
             simulate(ModelSpec.arma11(0.2, 0.1), 30, seed)
 
     @pytest.mark.parametrize("spec", [ModelSpec.garch11(1e308, 0.1, 0.2),
