@@ -3,6 +3,7 @@
 
 Usage:
     python scripts/record_bench.py --tag pr7 [--base HEAD] [--seeds 711 712 ...]
+    python scripts/record_bench.py --tag try --base HEAD --quick
 
 Measures the working tree this script lives in ("change") and, with
 ``--base REV``, a ``git archive`` of that revision extracted to a
@@ -22,6 +23,13 @@ equal outputs show) and of Tier-1, and, for the change, on how many seeds
 each end-to-end metric was better or worse than the base (direction from
 ``BENCHMARK.json``) and whether the median moved by more than the base's
 interquartile range.  Uses the standard library only.
+
+``--quick`` is a smoke check of a change in progress, about a minute
+for two trees: one seed (the first of ``--seeds``), perfbench runs of
+QUICK_SECONDS each, and no study or Tier-1 runs.  One short run per tree
+shows neither spread nor a tail, so its report says ``"quick": true``
+and goes to ``BENCH_<tag>.quick.json``, which git ignores; it is never
+evidence for a claim.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 TIER1_RUNS = 2
 POWER = [sys.executable, "-m", "cssm", "power", "--table", "T1", "--reps", "1000"]
 POWER_RUNS = 2
+QUICK_SECONDS = 5
 ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
@@ -139,7 +148,8 @@ def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dic
         base_spread = spread([b for b, _ in pairs])
         med_b, med_c = base_spread["median"], statistics.median(c for _, c in pairs)
         tally["median_ratio"] = med_c / med_b if med_b else None
-        tally["beyond_base_iqr"] = abs(med_c - med_b) > base_spread["q3"] - base_spread["q1"]
+        tally["beyond_base_iqr"] = (abs(med_c - med_b) > base_spread["q3"] - base_spread["q1"]
+                                    if len(pairs) > 1 else None)
         out[name] = tally
     return out
 
@@ -149,13 +159,17 @@ def parse_args(argv):
     p.add_argument("--tag", required=True, help="output file is BENCH_<tag>.json")
     p.add_argument("--base", help="also measure a git archive of this revision")
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(711, 721)))
+    p.add_argument("--quick", action="store_true",
+                   help=f"one seed, {QUICK_SECONDS} s runs, no study or Tier-1; "
+                        "writes BENCH_<tag>.quick.json")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
-    seconds = SPEC["run_seconds"]
+    seconds = QUICK_SECONDS if args.quick else SPEC["run_seconds"]
+    seeds = args.seeds[:1] if args.quick else args.seeds
     workloads = [w["name"] for w in SPEC["workloads"]]
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
@@ -168,23 +182,23 @@ def main(argv=None) -> int:
         names = list(trees)
         runs = {name: {wl: [] for wl in workloads} for name in names}
         for wl in workloads:
-            for i, seed in enumerate(args.seeds):
+            for i, seed in enumerate(seeds):
                 for name in (names if i % 2 == 0 else names[::-1]):
                     run = perfbench(trees[name]["dir"], wl, seed, seconds)
                     runs[name][wl].append(run)
                     print(f"{wl} seed {seed} {name}: op_p50_ms "
                           f"{run['metrics']['op_p50_ms']:.1f}", file=sys.stderr)
-        for _ in range(POWER_RUNS):
+        for _ in range(0 if args.quick else POWER_RUNS):
             for name in names:
                 out = Path(tmp) / f"power-{name}.csv"
                 trees[name].setdefault("power", []).append(power(trees[name]["dir"], out))
                 print(f"power {name}: {trees[name]['power'][-1]}", file=sys.stderr)
-        for _ in range(TIER1_RUNS):
+        for _ in range(0 if args.quick else TIER1_RUNS):
             for name in names:
                 trees[name].setdefault("tier1", []).append(tier1(trees[name]["dir"]))
                 print(f"tier-1 {name}: {trees[name]['tier1'][-1]}", file=sys.stderr)
 
-        report = {"tag": args.tag, "seconds": seconds, "seeds": args.seeds,
+        report = {"tag": args.tag, "quick": args.quick, "seconds": seconds, "seeds": seeds,
                   "order": "seed i runs " + " then ".join(names)
                            + " for even i, the reverse for odd i",
                   "trees": {}}
@@ -215,7 +229,7 @@ def main(argv=None) -> int:
                                   "wall_s": spread([t["wall_s"] for t in tree["tier1"]]),
                                   "runs": tree["tier1"]}
             report["trees"][name] = entry
-    out = ROOT / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{args.tag}{'.quick' if args.quick else ''}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

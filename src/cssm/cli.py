@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .critval import DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig, critical_value
+from .critval import (BUILTIN_TABLE, DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig,
+                      critical_value)
 from .cusum import cssm_test
 from .longrun import DEFAULT_BETA, _check_usable_n, truncation_lag
 from .mc import DEFAULT_REPLICATIONS, TABLE_IDS, run_table, write_reports_csv
@@ -95,7 +96,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _critical_value(args: argparse.Namespace) -> float:
     """The threshold for ``--L`` and ``--alpha``: built in, cached or simulated."""
-    cfg = BridgeConfig(grid_points=args.grid, replications=args.reps, seed=args.seed)
+    # the bridge flags are checked only when the table cannot answer
+    cfg = (None if (args.L, args.alpha) in BUILTIN_TABLE
+           else BridgeConfig(grid_points=args.grid, replications=args.reps, seed=args.seed))
     return critical_value(args.L, args.alpha, cfg, cache_path=args.cache)
 
 

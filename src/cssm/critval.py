@@ -8,8 +8,9 @@ else on demand: bridges are built on a uniform grid from Gaussian random
 walks via ``B(t) = W(t) - t W(1)``, and the empirical quantile of the
 per-replication suprema is returned.  Replications run in fixed batches
 of 512, each from its own spawned stream, on up to two threads by
-default; the output depends only on (L, grid, replications, seed), never
-on the thread count.
+default, each in blocks of rows that fill a buffer of about 1 MB; the
+output depends only on (L, grid, replications, seed), never on the
+thread count or the block size.
 
 Simulated values can be cached in an append-only text file, one record
 per line: ``L alpha grid replications seed c_value``.  Nothing is kept in
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,15 +30,20 @@ from pathlib import Path
 
 import numpy as np
 
-# Replications are generated in fixed-size blocks, each drawing from its own
+# Replications are generated in fixed-size batches, each drawing from its own
 # spawned stream, so results depend only on (L, grid, replications, seed) and
 # never on scheduling or worker count.
 _BATCH_SIZE = 512
 
-# Default thread cap.  Each thread holds one batch buffer and a scratch row
-# block, 33 MB at L=2 and grid 2000: 2000 replications there peak at 99 MB
-# of RSS on two threads but 160 MB on four, above the 129 MB of the serial
-# kernel that made a full-size temporary per step.
+# A batch is simulated in blocks of rows whose buffer takes about this many
+# bytes (at least one row), so it stays in a core's cache for any L and grid;
+# smaller blocks cost more per call.  Draws continue one stream across blocks
+# and every step acts within a row, so the block size never changes the output.
+_BLOCK_BYTES = 1 << 20
+
+# Default thread cap.  The affinity mask that _usable_cpus reads cannot see
+# a cgroup CPU quota, so on a container it may count CPUs the process will
+# not get; more threads than that only contend.
 _DEFAULT_WORKERS = 2
 
 _cache_lock = threading.Lock()
@@ -108,12 +113,17 @@ def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
     return buf
 
 
-def _sup_batch(rng: np.random.Generator, reps: int, L: int, grid_points: int,
-               buf: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Suprema of one batch, computed in the caller's buffers (sliced to ``reps``)."""
-    paths = _bridge_paths(rng, reps, L + 1, grid_points, buf[:reps], scratch[:reps])
-    square_sum = np.einsum("rjm,rjm->rm", paths, paths, out=scratch[:reps])
-    return square_sum.max(axis=1)
+def _sup_batch(rng: np.random.Generator, reps: int, L: int, grid_points: int) -> np.ndarray:
+    """Suprema of one batch, simulated a block of rows at a time."""
+    rows = min(reps, max(1, _BLOCK_BYTES // ((L + 1) * grid_points * 8)))
+    buf, scratch = np.empty((rows, L + 1, grid_points)), np.empty((rows, grid_points))
+    sups = np.empty(reps)
+    for start in range(0, reps, rows):
+        k = min(rows, reps - start)
+        paths = _bridge_paths(rng, k, L + 1, grid_points, buf[:k], scratch[:k])
+        square_sum = np.einsum("rjm,rjm->rm", paths, paths, out=scratch[:k])
+        square_sum.max(axis=1, out=sups[start:start + k])
+    return sups
 
 
 def _usable_cpus() -> int:
@@ -142,22 +152,9 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
         workers = min(_usable_cpus(), _DEFAULT_WORKERS)
     workers = min(workers, n_batches)
 
-    # One buffer pair per thread, allocated on this thread and reused for
-    # every batch: worker threads then allocate nothing large, so no
-    # per-thread malloc arena keeps freed batches resident (peak RSS would
-    # otherwise vary from call to call by up to a batch).
-    spare = queue.SimpleQueue()
-    for _ in range(workers):
-        spare.put((np.empty((sizes[0], L + 1, cfg.grid_points)),
-                   np.empty((sizes[0], cfg.grid_points))))
-
     def run(b: int) -> np.ndarray:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
-        work = spare.get()
-        try:
-            return _sup_batch(np.random.default_rng(seq), sizes[b], L, cfg.grid_points, *work)
-        finally:
-            spare.put(work)
+        return _sup_batch(np.random.default_rng(seq), sizes[b], L, cfg.grid_points)
 
     if workers == 1:
         parts = [run(b) for b in range(n_batches)]

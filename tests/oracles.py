@@ -154,6 +154,24 @@ def bridge_paths_reference(rng: np.random.Generator, reps: int, n_bridges: int,
     return walk - t * walk[:, :, -1:]
 
 
+def bridge_sup_reference(L: int, cfg) -> np.ndarray:
+    """Suprema of ``sum_{j=0..L} B_j(t)^2`` for a ``cssm.critval.BridgeConfig``.
+
+    Replications come in batches of 512, batch b drawing from the stream
+    spawned with key (b,) from ``cfg.seed``.  Each batch is one
+    :func:`bridge_paths_reference` call, on one thread, followed by the
+    square sum over bridges and the max over the grid.
+    """
+    sups = []
+    for b, start in enumerate(range(0, cfg.replications, 512)):
+        reps = min(512, cfg.replications - start)
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
+        paths = bridge_paths_reference(np.random.default_rng(seq), reps, L + 1,
+                                       cfg.grid_points)
+        sups.append((paths * paths).sum(axis=1).max(axis=1))
+    return np.concatenate(sups)
+
+
 def simulate_reference(before, after, k_star: int, n: int, seed: int,
                        burn_in: int) -> np.ndarray:
     """Length-n path of one model family by a literal loop over Python floats.

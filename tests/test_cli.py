@@ -203,6 +203,14 @@ class TestDetect:
         assert f"critical_value: {want:.6g}" in out.splitlines()
         assert len(cache.read_text().splitlines()) == 1
 
+    def test_table_threshold_ignores_bridge_flags(self, tmp_path, no_bridges, capsys):
+        f = tmp_path / "x.txt"
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 300, seed=3).values
+        f.write_text("".join(f"{v:.17g}\n" for v in x))
+        code, out, _ = run_cli("detect", str(f), "--reps", "10", "--grid", "3", capsys=capsys)
+        assert code in (0, 1)
+        assert "critical_value: 2.408" in out.splitlines()
+
     def test_nan_cache_record_exits_2(self, tmp_path, capsys):
         # a NaN threshold would never reject; it must not reach the decision
         f = tmp_path / "x.txt"
@@ -284,6 +292,18 @@ class TestCritvalCommand:
         code, out, _ = run_cli("critval", "--L", "1", "--alpha", "0.05", capsys=capsys)
         assert code == 0
         assert float(out.strip()) == 2.408
+
+    def test_table_entry_ignores_bridge_flags(self, no_bridges, capsys):
+        # (L=1, alpha=0.05) needs no simulation, so --reps 10 is never checked
+        code, out, _ = run_cli("critval", "--L", "1", "--reps", "10", capsys=capsys)
+        assert code == 0
+        assert float(out) == 2.408
+
+    def test_off_table_still_checks_bridge_flags(self, tmp_path, capsys):
+        code, out, err = run_cli("critval", "--L", "2", "--reps", "10",
+                                 "--cache", str(tmp_path / "cache.txt"), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "replications must be >= 1000, got 10" in err
 
     def test_simulated_value_cached(self, tmp_path, capsys):
         cache = tmp_path / "cache.txt"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cssm.critval import (
     sup_quantile,
 )
 
-from oracles import KOLMOGOROV_95_SQUARED, bridge_paths_reference
+from oracles import KOLMOGOROV_95_SQUARED, bridge_paths_reference, bridge_sup_reference
 
 
 class TestBridgeConfig:
@@ -70,6 +71,32 @@ class TestMatchesReferenceKernel:
         got = _bridge_paths(np.random.default_rng(5), 300, 3, 200, buf[:300], scratch[:300])
         want = bridge_paths_reference(np.random.default_rng(5), 300, 3, 200)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("L", [0, 1, 4])
+    @pytest.mark.parametrize("reps, grid", [(1000, 100), (1100, 137)])
+    def test_suprema_match_whole_batches_bitwise(self, reps, grid, L, workers):
+        # last batches of 488 and 76 rows
+        cfg = BridgeConfig(grid, reps, 40 + L)
+        got = simulate_bridge_sup(L, cfg, workers=workers)
+        assert got.tobytes() == bridge_sup_reference(L, cfg).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("L", [0, 1, 4])
+    def test_block_height_does_not_change_suprema(self, rows, L, monkeypatch):
+        # one-row blocks, and blocks that divide neither 512 nor 76
+        cfg = BridgeConfig(137, 1100, 50 + L)
+        monkeypatch.setattr(cssm.critval, "_BLOCK_BYTES", rows * (L + 1) * cfg.grid_points * 8)
+        heights = []
+
+        def spy(rng, reps, *args):
+            heights.append(reps)
+            return _bridge_paths(rng, reps, *args)
+
+        monkeypatch.setattr(cssm.critval, "_bridge_paths", spy)
+        got = simulate_bridge_sup(L, cfg, workers=1)
+        assert max(heights) == rows and sum(heights) == cfg.replications
+        assert got.tobytes() == bridge_sup_reference(L, cfg).tobytes()
 
     @pytest.mark.parametrize("L", [0, 1, 2, 4])
     def test_default_workers_match_serial_bitwise(self, L, monkeypatch):
@@ -132,6 +159,20 @@ class TestWorkers:
         monkeypatch.setattr(cssm.critval, "_usable_cpus", lambda: 1)
         simulate_bridge_sup(0, cfg)
         assert pool_sizes == []
+
+
+class TestMemory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_below_4_mb(self, workers):
+        # numpy reports its buffers to tracemalloc; one whole (512, 3, 2000)
+        # batch would take 24.6 MB per thread
+        tracemalloc.start()
+        try:
+            simulate_bridge_sup(2, BridgeConfig(2000, 2000, 7), workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestReproducibility:
