@@ -14,15 +14,20 @@ alternates from seed to seed, so drift of the host falls on both alike.
 The trees then take turns to run the study command ``PYTHONPATH=src
 python -m cssm power --table T1 --reps 1000`` twice each, and the Tier-1
 command ``PYTHONPATH=src python -m pytest -q
---continue-on-collection-errors`` twice each.  The file at the repository
+--continue-on-collection-errors`` twice each.  The host's speed drifts
+by tens of percent between runs, so each study and Tier-1 run is
+bracketed by ticks of that tree's ``perfbench/hostclock.py`` (the median
+of TICKS ticks, in a subprocess, since hostclock needs numpy), and its
+``nominal_s = wall_s / slowness``, with the mean slowness of the two
+ticks, is stored beside the raw ``wall_s``.  The file at the repository
 root holds, per tree: the git sha (``-dirty`` for uncommitted changes)
 and perfbench's digest of ``src/cssm``, Python and numpy versions, nproc,
 the line count of ``src/``, every run's metrics, their median, quartiles,
-min and max, the wall times of the study (with its total rejections, so
-equal outputs show) and of Tier-1, and, for the change, on how many seeds
-each end-to-end metric was better or worse than the base (direction from
-``BENCHMARK.json``) and whether the median moved by more than the base's
-interquartile range.  Uses the standard library only.
+min and max, the raw and host-scaled wall times of the study (with its
+total rejections, so equal outputs show) and of Tier-1, and, for the
+change, on how many seeds each end-to-end metric was better or worse than
+the base (direction from ``BENCHMARK.json``) and whether the median moved
+by more than the base's interquartile range.  Uses the standard library only.
 
 ``--quick`` is a smoke check of a change in progress, about a minute
 for two trees: one seed (the first of ``--seeds``), perfbench runs of
@@ -51,6 +56,10 @@ TIER1_RUNS = 2
 POWER = [sys.executable, "-m", "cssm", "power", "--table", "T1", "--reps", "1000"]
 POWER_RUNS = 2
 QUICK_SECONDS = 5
+TICK_KINDS = ("loop", "big")  # hostclock kernels: interpreted loops and numpy passes
+TICKS = 9
+TICK_SCRIPT = ("import statistics, hostclock; print(statistics.median("
+               f"hostclock.tick({TICK_KINDS!r}) for _ in range({TICKS})))")
 ENV = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
@@ -92,26 +101,41 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "env": env}
 
 
-def timed(cmd: list[str], tree: Path) -> tuple[float, subprocess.CompletedProcess]:
-    """Run cmd in tree against its own ``src/``; return the wall time and the process."""
+def host_slowness(tree: Path) -> float:
+    """The host's slowness now (1 at nominal speed), by the ticks of tree's perfbench/."""
+    proc = subprocess.run([sys.executable, "-c", TICK_SCRIPT], cwd=tree / "perfbench",
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout)
+
+
+def timed(cmd: list[str], tree: Path) -> tuple[dict, subprocess.CompletedProcess]:
+    """Run cmd in tree against its own ``src/`` between two host ticks.
+
+    Returns the raw wall time, the slowness before and after, the wall time
+    scaled to a host of nominal speed, and the process.
+    """
+    before = host_slowness(tree)
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=ENV)
-    return time.perf_counter() - t0, proc
+    wall = time.perf_counter() - t0
+    after = host_slowness(tree)
+    return {"wall_s": wall, "slowness": [before, after],
+            "nominal_s": wall / ((before + after) / 2)}, proc
 
 
 def tier1(tree: Path) -> dict:
-    wall, proc = timed(TIER1, tree)
+    times, proc = timed(TIER1, tree)
     summary = (proc.stdout.strip().splitlines() or [""])[-1]
-    return {"wall_s": wall, "exit_status": proc.returncode, "summary": summary}
+    return {**times, "exit_status": proc.returncode, "summary": summary}
 
 
 def power(tree: Path, out: Path) -> dict:
     """One study run, writing its CSV to out; its printed rejections are summed."""
-    wall, proc = timed([*POWER, "--out", str(out)], tree)
+    times, proc = timed([*POWER, "--out", str(out)], tree)
     # each scenario prints "<label>: power=<p> (<rejections>/<replications>)"
     tallies = [line.rsplit("(", 1)[1].rstrip(")").split("/")
                for line in proc.stdout.splitlines() if ": power=" in line]
-    return {"wall_s": wall, "exit_status": proc.returncode, "scenarios": len(tallies),
+    return {**times, "exit_status": proc.returncode, "scenarios": len(tallies),
             "rejections": sum(int(r) for r, _ in tallies),
             "replications": sum(int(n) for _, n in tallies)}
 
@@ -191,8 +215,8 @@ def main(argv=None) -> int:
         for _ in range(0 if args.quick else POWER_RUNS):
             for name in names:
                 out = Path(tmp) / f"power-{name}.csv"
-                trees[name].setdefault("power", []).append(power(trees[name]["dir"], out))
-                print(f"power {name}: {trees[name]['power'][-1]}", file=sys.stderr)
+                trees[name].setdefault("power_t1", []).append(power(trees[name]["dir"], out))
+                print(f"power {name}: {trees[name]['power_t1'][-1]}", file=sys.stderr)
         for _ in range(0 if args.quick else TIER1_RUNS):
             for name in names:
                 trees[name].setdefault("tier1", []).append(tier1(trees[name]["dir"]))
@@ -218,16 +242,13 @@ def main(argv=None) -> int:
                 if name == "change" and "base" in runs:
                     entry["workloads"][wl]["vs_base"] = compare(runs["base"][wl], wl_runs,
                                                                 better)
-            if "power" in tree:
-                entry["power_t1"] = {"command": "PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 python "
-                                                + " ".join(POWER[1:]) + " --out FILE",
-                                     "wall_s": spread([t["wall_s"] for t in tree["power"]]),
-                                     "runs": tree["power"]}
-            if "tier1" in tree:
-                entry["tier1"] = {"command": "PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 python "
-                                             + " ".join(TIER1[1:]),
-                                  "wall_s": spread([t["wall_s"] for t in tree["tier1"]]),
-                                  "runs": tree["tier1"]}
+            for key, cmd in (("power_t1", [*POWER, "--out", "FILE"]), ("tier1", TIER1)):
+                if key in tree:
+                    entry[key] = {"command": "PYTHONPATH=src PYTHONDONTWRITEBYTECODE=1 python "
+                                             + " ".join(cmd[1:]),
+                                  "wall_s": spread([t["wall_s"] for t in tree[key]]),
+                                  "nominal_s": spread([t["nominal_s"] for t in tree[key]]),
+                                  "runs": tree[key]}
             report["trees"][name] = entry
     out = ROOT / f"BENCH_{args.tag}{'.quick' if args.quick else ''}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")

@@ -12,9 +12,23 @@ null by construction).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _check_count(name: str, value, low: int = 0) -> int:
+    """``value`` as an int if it is an integer >= ``low``, else a ValueError naming ``name``.
+
+    numpy integers pass; a float such as 2.0 fails, as numpy takes none for a size."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    return count
 
 
 def _real_copy(x, what: str) -> np.ndarray:
@@ -68,8 +82,7 @@ def prefix_autocovs(x, L: int) -> np.ndarray:
     """
     values = as_timeseries(x).values
     n = values.size
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
+    L = _check_count("L", L)
     if L >= n:
         raise ValueError(f"need L < n, got L={L} with n={n}")
     out = np.empty((n - L, L + 1))

@@ -131,11 +131,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
         f"change_index: {res.change_index}",
     ]
     report = "\n".join(lines)
-    print(report)
+    # files first, so a report on stdout always comes with exit status 0 or 1
     if args.out:
         Path(args.out).write_text(report + "\n", encoding="ascii")
     if args.path_out:
         emit_path(res.path, res.critical_value, args.path_out)
+    print(report)
     return 1 if res.reject else 0
 
 

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autocov import _check_count
+
 # Replications are generated in fixed-size batches, each drawing from its own
 # spawned stream, so results depend only on (L, grid, replications, seed) and
 # never on scheduling or worker count.
@@ -67,12 +69,10 @@ class BridgeConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.grid_points < 100:
-            raise ValueError(f"grid_points must be >= 100, got {self.grid_points}")
-        if self.replications < 1000:
-            raise ValueError(f"replications must be >= 1000, got {self.replications}")
-        if not 0 < self.seed < 2 ** 64:
-            raise ValueError("seed must be a positive 64-bit integer")
+        _check_count("grid_points", self.grid_points, 100)
+        _check_count("replications", self.replications, 1000)
+        if _check_count("seed", self.seed, 1) >= 2 ** 64:
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
 
 
 #: Quantiles shipped with the package, keyed by (L, alpha); all else is simulated.
@@ -84,7 +84,10 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _check_critical_value(c: float) -> float:
+def _check_critical_value(c: float | None, L: int, alpha: float) -> float:
+    """``c`` as a float, or the built-in quantile for (L, alpha) when it is None."""
+    if c is None:
+        c = critical_value(L, alpha)
     if not 0.0 <= c < math.inf:  # a NaN threshold would never reject
         raise ValueError(f"critical value must be finite and nonnegative, got {c}")
     return float(c)
@@ -141,10 +144,9 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
     batches (default: the usable CPUs, at most two; never more than the
     batch count); it never changes the output.
     """
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    L = _check_count("L", L)
+    if workers is not None:
+        workers = _check_count("workers", workers, 1)
     reps = cfg.replications
     n_batches = (reps + _BATCH_SIZE - 1) // _BATCH_SIZE
     sizes = [min(_BATCH_SIZE, reps - b * _BATCH_SIZE) for b in range(n_batches)]
@@ -219,8 +221,7 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     the same ``cfg`` simulates again.
     """
     _check_alpha(alpha)
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
+    L = _check_count("L", L)
     hit = BUILTIN_TABLE.get((L, alpha))
     if hit is not None:
         return hit
@@ -232,7 +233,7 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     if cache_path is not None:
         cached = _cache_lookup(cache_path, key)
         if cached is not None:
-            return _check_critical_value(cached)
+            return _check_critical_value(cached, L, alpha)
     c = sup_quantile(simulate_bridge_sup(L, cfg), alpha)
     if cache_path is not None:
         _cache_append(cache_path, key, c)

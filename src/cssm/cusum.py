@@ -129,9 +129,7 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
     # a power of two rescales exactly, and max|x| < 1 keeps fourth-order terms in range
     ts = as_timeseries(np.ldexp(values, -np.frexp(np.abs(values).max())[1]))
     path = cusum_path(ts, estimate_longrun_cov(ts, L, beta), L)
-    if critical_value is None:
-        critical_value = _critval.critical_value(L, alpha)
-    critical_value = _critval._check_critical_value(critical_value)
+    critical_value = _critval._check_critical_value(critical_value, L, alpha)
     best = int(np.argmax(path.values))
     statistic = float(path.values[best])
     return TestResult(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _real_copy, as_timeseries
+from .autocov import _check_count, _real_copy, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
 
@@ -42,10 +42,8 @@ class CovMatrix:
     eps_floor: float | None = None
 
     def __post_init__(self) -> None:
-        if self.L < 0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
+        d = _check_count("L", self.L) + 1
         arr = _real_copy(self.entries, "covariance matrix")
-        d = self.L + 1
         if arr.shape != (d, d):
             raise ValueError(f"entries must be {d}x{d} for L={self.L}, got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -58,8 +56,7 @@ class CovMatrix:
 
 def truncation_lag(n: int, beta: float) -> int:
     """Displacement cutoff ``floor(n**beta)`` clamped to [1, n-1]."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_count("n", n, 2)
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must be in (0, 0.5), got {beta}")
     return min(max(int(math.floor(n ** beta)), 1), n - 1)
@@ -73,9 +70,8 @@ def _min_usable_n(L: int, beta: float) -> int:
 
 
 def _check_usable_n(n: int, L: int, beta: float) -> None:
-    """Raise ValueError naming the smallest usable n unless h_n + L < n; checks L and beta."""
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
+    """Raise ValueError naming the smallest usable n unless h_n + L < n; checks n, L and beta."""
+    n, L = _check_count("n", n), _check_count("L", L)
     n_min = _min_usable_n(L, beta)
     if n < n_min:
         raise ValueError(f"insufficient data: n={n} with L={L}, beta={beta}; "
@@ -99,10 +95,9 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
     """
     values = as_timeseries(x).values
     n = values.size
-    if not 0 <= h <= k < n:
-        raise ValueError(f"need 0 <= h <= k < n, got h={h}, k={k}, n={n}")
-    if not 0 <= lag < n:
-        raise ValueError(f"displacement must be in [0, {n - 1}], got {lag}")
+    h, k, lag = _check_count("h", h), _check_count("k", k), _check_count("lag", lag)
+    if not h <= k < n:
+        raise ValueError(f"need h <= k < n, got h={h}, k={k}, n={n}")
     if n - lag - k < 1:
         raise ValueError(f"displacement {lag} leaves no complete products "
                          f"for (h={h}, k={k}, n={n})")
@@ -213,8 +208,7 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
         raise ValueError("gamma contains non-finite values")
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
+    L = _check_count("L", L)
     m_max = g.size - 1
 
     def gam(lag: int) -> float:

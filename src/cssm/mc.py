@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critval as _critval
+from .autocov import _check_count
 from .critval import DEFAULT_ALPHA, DEFAULT_SEED
 from .cusum import cssm_test
 from .longrun import DEFAULT_BETA, _check_usable_n
-from .models import ChangeSpec, ModelSpec, simulate_with_change
+from .models import ChangeSpec, ModelSpec, _check_change_index, simulate_with_change
 
 DEFAULT_REPLICATIONS = 1000  # per scenario of the study
 
@@ -44,9 +45,9 @@ _SEED_STRIDE = 1 << 21
 class Scenario:
     """One replicated experiment: a change spec plus test settings.
 
-    ``L``, ``alpha``, the cutoff exponent ``beta``, ``seed`` and whether ``n``
-    is long enough for ``L`` and ``beta`` are checked here, so a bad value
-    fails at construction, not in every replication.
+    The counts, ``alpha``, the cutoff exponent ``beta``, and whether ``n`` is
+    long enough for ``L`` and ``beta`` and for the break are checked here, so a
+    bad value fails at construction, not in every replication.
     """
 
     label: str
@@ -61,18 +62,11 @@ class Scenario:
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
         _check_usable_n(self.n, self.L, self.beta)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.replications >= _SEED_STRIDE:
-            raise ValueError(
-                f"replications must be < {_SEED_STRIDE} to keep seed streams disjoint"
-            )
-        if not self.change.change_index < self.n:
-            raise ValueError(
-                f"change_index {self.change.change_index} must be < n={self.n}"
-            )
+        _check_change_index(self.change.change_index, self.n)
+        _check_count("seed", self.seed)
+        if _check_count("replications", self.replications, 1) >= _SEED_STRIDE:
+            raise ValueError(f"replications must be < {_SEED_STRIDE} "
+                             "to keep seed streams disjoint")
 
 
 @dataclass(frozen=True)
@@ -144,9 +138,7 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
         warnings.warn("run_scenario(workers=) is deprecated and ignored; "
                       "replications always run serially",
                       DeprecationWarning, stacklevel=2)
-    if critical_value is None:
-        critical_value = _critval.critical_value(scenario.L, scenario.alpha)
-    _critval._check_critical_value(critical_value)
+    critical_value = _critval._check_critical_value(critical_value, scenario.L, scenario.alpha)
     start = time.perf_counter()
     failures = 0
     reject_locs = []
@@ -211,6 +203,7 @@ def table_scenarios(table_id: str, replications: int = DEFAULT_REPLICATIONS,
     """The scenario grid of one study table (see module docstring)."""
     if table_id not in _CELLS:
         raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
+    seed = _check_count("seed", seed)
     return [
         Scenario(label, ChangeSpec(n // 2, before, after), n,
                  replications=replications, seed=seed + (i + 1) * _SEED_STRIDE)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autocov import TimeSeries
+from .autocov import TimeSeries, _check_count
 
 DEFAULT_BURN_IN = 500
 
@@ -116,13 +116,18 @@ class ChangeSpec:
     spec_after: ModelSpec
 
     def __post_init__(self) -> None:
-        if self.change_index < 1:
-            raise ValueError(f"change_index must be >= 1, got {self.change_index}")
+        _check_count("change_index", self.change_index, 1)
         if self.spec_before.family is not self.spec_after.family:
             raise ValueError(
                 f"change must stay within one family, got "
                 f"{self.spec_before.family.value} -> {self.spec_after.family.value}"
             )
+
+
+def _check_change_index(change_index: int, n: int) -> None:
+    """Raise ValueError unless ``n`` is a length with observations after the break."""
+    if not change_index < _check_count("n", n, 1):
+        raise ValueError(f"change_index must be < n, got change_index={change_index}, n={n}")
 
 
 def _innovations(seeds: list[int], size: int, pad: int = 0) -> np.ndarray:
@@ -208,17 +213,12 @@ _SIMULATORS = {
 
 def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
                    seed: int | Sequence[int], burn_in: int) -> TimeSeries | np.ndarray:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    n, burn_in = _check_count("n", n, 1), _check_count("burn_in", burn_in)
     single = np.ndim(seed) == 0
     seeds = [seed] if single else list(seed)
     if np.ndim(seed) > 1 or not seeds:
         raise ValueError("seed must be an int or a non-empty 1-D sequence of ints")
-    for s in seeds:
-        if not isinstance(s, (int, np.integer)) or s < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {s!r}")
+    seeds = [_check_count("seed", s) for s in seeds]
     # Row t holds step t's parameters; the first burn_in + k_star precede the break.
     params = np.repeat([before.params, after.params],
                        [burn_in + k_star, n - k_star], axis=0)
@@ -259,9 +259,6 @@ def simulate_with_change(cs: ChangeSpec, n: int, seed: int | Sequence[int],
     same seed.  ``seed`` is an int or a sequence of ints, with the return
     types of :func:`simulate`.
     """
-    if not cs.change_index < n:
-        raise ValueError(
-            f"change_index must be < n, got k*={cs.change_index} with n={n}"
-        )
+    _check_change_index(cs.change_index, n)
     return _simulate_pair(cs.spec_before, cs.spec_after, cs.change_index,
                           n, seed, burn_in)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cssm.autocov import TimeSeries, as_timeseries, prefix_autocovs
+from cssm.autocov import TimeSeries, _check_count, as_timeseries, prefix_autocovs
 from cssm.cusum import cssm_test
 from cssm.longrun import CovMatrix, bartlett_linear
 
@@ -16,6 +16,24 @@ series_lists = st.lists(
     min_size=1,
     max_size=64,
 )
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.array(3)])
+    def test_integers_pass_as_int(self, value):
+        got = _check_count("n", value, 3)
+        assert got == 3 and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.0, 1.5, np.float64(2), "2", None, [2]])
+    def test_non_integers_fail_naming_the_argument(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            _check_count("n", value)
+
+    def test_below_low_fails_naming_the_argument(self):
+        with pytest.raises(ValueError, match=r"^replications must be >= 1, got 0$"):
+            _check_count("replications", 0, 1)
+        with pytest.raises(ValueError, match=r"^L must be >= 0, got -1$"):
+            _check_count("L", np.int32(-1))
 
 
 class TestTimeSeries:

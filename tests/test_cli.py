@@ -143,7 +143,7 @@ class TestSimulate:
                                  "--n", "5", "--seed", "-5", capsys=capsys)
         assert code == 2
         assert out == ""
-        assert "seed must be a nonnegative integer, got -5" in err
+        assert "seed must be >= 0, got -5" in err
 
     def test_bad_params_error(self, capsys):
         code, _, err = run_cli(
@@ -276,6 +276,16 @@ class TestDetect:
         assert reports[0] == reports[1]
         assert float(reports[0][1]) > 0.0
 
+    @pytest.mark.parametrize("flag", ["--out", "--path-out"])
+    def test_unwritable_output_prints_no_report(self, tmp_path, flag, capsys):
+        f = tmp_path / "s.txt"
+        f.write_text("\n".join(str(v) for v in np.random.default_rng(3).standard_normal(300)))
+        code, out, err = run_cli("detect", str(f), flag, str(tmp_path / "missing" / "x"),
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "missing" in err
+
     def test_center_flag_changes_statistic(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         f = tmp_path / "shifted.txt"
@@ -389,3 +399,12 @@ class TestPowerCommand:
         )
         assert code == 2
         assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("seed", ["-3000000", "-1000"])
+    def test_negative_seed_is_named_as_given(self, tmp_path, seed, capsys):
+        # a base seed in (-2**21, 0) used to give valid seeds to every scenario
+        code, out, err = run_cli("power", "--table", "T1", "--reps", "3", "--seed", seed,
+                                 "--out", str(tmp_path / "t1.csv"), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"seed must be >= 0, got {seed}\n" in err

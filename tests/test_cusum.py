@@ -25,7 +25,7 @@ NOT_A_COV_MATRIX = [
     pytest.param(1.0, id="scalar"),
     pytest.param(np.eye(2) * (1 + 1j), id="complex"),
 ]
-COV_MATRIX_CHECKS = (r"exactly symmetric|entries must be \dx\d for L=\d|L must be nonnegative"
+COV_MATRIX_CHECKS = (r"exactly symmetric|entries must be \dx\d for L=\d|L must be >= 0"
                      r"|must be real")
 
 

@@ -296,7 +296,7 @@ class TestCovMatrixType:
             CovMatrix(bad, L=1)
 
     def test_rejects_negative_L(self):
-        with pytest.raises(ValueError, match="L must be nonnegative"):
+        with pytest.raises(ValueError, match="L must be >= 0"):
             CovMatrix(np.zeros((0, 0)), L=-1)
 
     def test_rejects_complex(self):

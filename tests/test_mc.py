@@ -58,7 +58,7 @@ class TestScenario:
     def test_rejects_negative_L(self):
         # every replication would fail and the power would be NaN
         before = ModelSpec.arma11(0.2, 0.1)
-        with pytest.raises(ValueError, match="L must be nonnegative"):
+        with pytest.raises(ValueError, match="L must be >= 0"):
             Scenario("bad L", ChangeSpec(5, before, before), 10, L=-1)
 
     def test_rejects_n_too_short_for_L(self):
