@@ -19,15 +19,20 @@ by tens of percent between runs, so each study and Tier-1 run is
 bracketed by ticks of that tree's ``perfbench/hostclock.py`` (the median
 of TICKS ticks, in a subprocess, since hostclock needs numpy), and its
 ``nominal_s = wall_s / slowness``, with the mean slowness of the two
-ticks, is stored beside the raw ``wall_s``.  The file at the repository
-root holds, per tree: the git sha (``-dirty`` for uncommitted changes)
-and perfbench's digest of ``src/cssm``, Python and numpy versions, nproc,
-the line count of ``src/``, every run's metrics, their median, quartiles,
-min and max, the raw and host-scaled wall times of the study (with its
-total rejections, so equal outputs show) and of Tier-1, and, for the
-change, on how many seeds each end-to-end metric was better or worse than
-the base (direction from ``BENCHMARK.json``) and whether the median moved
-by more than the base's interquartile range.  Uses the standard library only.
+ticks, is stored beside the raw ``wall_s``.  About 0.2 s of ticks does
+not steady the walls within one session (in an A/A run of identical
+trees Tier-1 spread 53.2-58.8 s raw and 42.6-53.5 s nominal), but it
+removes drift that lasts a whole session: compare raw ``wall_s`` only
+within one BENCH file, and ``nominal_s`` across files.  The file at the
+repository root holds, per tree: the git sha (``-dirty`` for uncommitted
+changes) and perfbench's digest of ``src/cssm``, Python and numpy
+versions, nproc, the line count of ``src/``, every run's metrics, their
+median, quartiles, min and max, the raw and host-scaled wall times of the
+study (with its total rejections, so equal outputs show) and of Tier-1,
+and, for the change, on how many seeds each end-to-end metric was better
+or worse than the base (direction from ``BENCHMARK.json``) and whether
+the median moved by more than the base's interquartile range.  Uses the
+standard library only.
 
 ``--quick`` is a smoke check of a change in progress, about a minute
 for two trees: one seed (the first of ``--seeds``), perfbench runs of

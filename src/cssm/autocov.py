@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_RESCALE = ("{} products of the series {} double precision; "
+            "rescale the series (e.g. divide it by its standard deviation)")
+
 
 def _check_count(name: str, value, low: int = 0) -> int:
     """``value`` as an int if it is an integer >= ``low``, else a ValueError naming ``name``.
@@ -78,7 +81,8 @@ def prefix_autocovs(x, L: int) -> np.ndarray:
 
     Returns a read-only (n-L) x (L+1) array: row ``j`` holds the length-(L+1+j)
     prefix, so the last row is the full-sample autocovariances.  Built from
-    running sums of the lagged products, O(n*L) total.
+    running sums of the lagged products, O(n*L) total, in data units: from
+    about max|x| = 1e154 they overflow and raise ValueError, not warnings.
     """
     values = as_timeseries(x).values
     n = values.size
@@ -87,8 +91,11 @@ def prefix_autocovs(x, L: int) -> np.ndarray:
         raise ValueError(f"need L < n, got L={L} with n={n}")
     out = np.empty((n - L, L + 1))
     k = np.arange(L + 1, n + 1, dtype=np.float64)
-    for h in range(L + 1):
-        csum = np.cumsum(values[: n - h] * values[h:])
-        out[:, h] = csum[L - h:] / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(L + 1):
+            csum = np.cumsum(values[: n - h] * values[h:])
+            out[:, h] = csum[L - h:] / k
+    if not np.isfinite(out).all():
+        raise ValueError(_RESCALE.format("second-order", "overflow"))
     out.setflags(write=False)
     return out

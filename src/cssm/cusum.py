@@ -32,18 +32,6 @@ class CusumPath:
     k_min: int
     k_max: int
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 1 or arr.size != self.k_max - self.k_min + 1:
-            raise ValueError(
-                f"values must have length k_max - k_min + 1 = "
-                f"{self.k_max - self.k_min + 1}, got {arr.shape}"
-            )
-        if not (arr >= 0.0).all():
-            raise ValueError("path values must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
 
 @dataclass(frozen=True)
 class TestResult:
@@ -89,7 +77,9 @@ def cusum_path(x, C, L: int) -> CusumPath:
     ``d_k`` stacks the lag-0..L differences between the length-k prefix
     autocovariances and the full-sample ones; a plain array ``C`` is checked
     as a :class:`CovMatrix` for this L.  Prefix autocovariances come from
-    running sums: O(n L) for the path plus O(n L^2) for the weighting.
+    running sums: O(n L) for the path plus O(n L^2) for the weighting.  Works
+    in data units: a path past the double range, from a series near max|x| =
+    1e154 or an ill-conditioned ``C``, raises ValueError; its values are read-only.
     """
     ts = as_timeseries(x)
     n = ts.n
@@ -100,10 +90,13 @@ def cusum_path(x, C, L: int) -> CusumPath:
         raise ValueError(f"need n >= L + 2 for a nonempty path, got n={n}, L={L}")
     root = inv_sqrt(C)
     prefix = prefix_autocovs(ts, L)
-    diffs = prefix[:-1] - prefix[-1]
-    weighted = diffs @ root
     k = np.arange(L + 1, n, dtype=np.float64)
-    vals = (k * k / n) * np.einsum("ij,ij->i", weighted, weighted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = (prefix[:-1] - prefix[-1]) @ root
+        vals = (k * k / n) * np.einsum("ij,ij->i", weighted, weighted)
+    if not np.isfinite(vals).all():
+        raise ValueError("CUSUM path overflows; rescale the series or check C's conditioning")
+    vals.setflags(write=False)
     return CusumPath(values=vals, k_min=L + 1, k_max=n - 1)
 
 
@@ -125,11 +118,11 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
     path itself for plotting or export.
     """
     _critval._check_alpha(alpha)
+    critical_value = _critval._check_critical_value(critical_value, L, alpha)
     values = as_timeseries(x).values
     # a power of two rescales exactly, and max|x| < 1 keeps fourth-order terms in range
     ts = as_timeseries(np.ldexp(values, -np.frexp(np.abs(values).max())[1]))
     path = cusum_path(ts, estimate_longrun_cov(ts, L, beta), L)
-    critical_value = _critval._check_critical_value(critical_value, L, alpha)
     best = int(np.argmax(path.values))
     statistic = float(path.values[best])
     return TestResult(

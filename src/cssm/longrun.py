@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _check_count, _real_copy, as_timeseries
+from .autocov import _RESCALE, _check_count, _real_copy, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
-
-_RESCALE = ("fourth-order products of the series {} double precision; "
-            "rescale the series (e.g. divide it by its standard deviation)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +133,13 @@ def _longrun_terms(values: np.ndarray, L: int,
         terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
         raw = terms.sum(axis=0) / n
         if not np.isfinite(raw).all():
-            raise ValueError(_RESCALE.format("overflow"))
+            raise ValueError(_RESCALE.format("fourth-order", "overflow"))
     trace = float(np.trace(raw))
     # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
     floor = 1e-8 * trace / (L + 1) if trace > 0.0 else 1e-8 * float(g[0]) ** 2
     if floor < np.finfo(np.float64).tiny:
         if values.any():
-            raise ValueError(_RESCALE.format("underflow"))
+            raise ValueError(_RESCALE.format("fourth-order", "underflow"))
         floor = 1e-12  # the all-zero series has no scale at all
     return terms, raw, floor
 

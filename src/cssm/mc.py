@@ -232,7 +232,7 @@ def report_csv_lines(reports: list[PowerReport]) -> list[str]:
         lines.append(
             ",".join(
                 [
-                    f'"{s.label}"',
+                    '"' + s.label.replace('"', '""') + '"',  # RFC 4180 quoting
                     before.family.value,
                     str(s.n),
                     str(s.change.change_index),

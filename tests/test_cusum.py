@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cssm import cusum
+from cssm.autocov import prefix_autocovs
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
 from cssm.longrun import CovMatrix, estimate_longrun_cov, sigma_bar
@@ -142,16 +144,6 @@ class TestCusumPath:
         assert cusum_path(x, C, 1).values.tobytes() == want.tobytes()
 
 
-class TestCusumPathType:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            CusumPath(np.array([0.5, -0.1]), k_min=2, k_max=3)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            CusumPath(np.array([0.5]), k_min=2, k_max=3)
-
-
 class TestCssmTest:
     def test_zero_series_never_rejects(self):
         res = cssm_test([0.0] * 200, 1)
@@ -215,16 +207,30 @@ class TestCssmTest:
             scaled = cssm_test(np.ldexp(x, k), 3, critical_value=2.408)
             assert scaled.path.values.tobytes() == base.path.values.tobytes()
 
-    @pytest.mark.parametrize("scale", [1e77, 1e150, 1e300])
+    @pytest.mark.parametrize("scale", [1e77, 1e150, 1e160, 1e200, 1e300])
     def test_overflowing_scale_raises_without_warnings(self, scale):
-        # the estimator works in data units; cssm_test rescales before it
-        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42)
+        # each of these works in data units; cssm_test rescales before them.  Fourth-order
+        # products overflow from about 1e77, second-order ones from about 1e155
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow.*rescale"):
-                estimate_longrun_cov(scale * x.values, 1)
-            with pytest.raises(ValueError, match="overflow.*rescale"):
-                sigma_bar(scale * x.values, 0, 1, 2)
+                sigma_bar(scale * x, 0, 1, 2)
+            for L in (0, 1, 3):
+                with pytest.raises(ValueError, match="overflow.*rescale"):
+                    estimate_longrun_cov(scale * x, L)
+                with pytest.raises(ValueError, match="overflow.*rescale"):
+                    cusum_path(scale * x, np.eye(L + 1), L)
+                if scale < 1e155:
+                    assert np.isfinite(prefix_autocovs(scale * x, L)).all()
+                else:
+                    with pytest.raises(ValueError, match="overflow.*rescale"):
+                        prefix_autocovs(scale * x, L)
+            with pytest.raises(ValueError):  # a path of inf, not a rejection
+                cusum_path(x, 1e-320 * np.eye(2), 1)
+        v = np.array([1.0, 3.0])
+        assert CusumPath(v, 2, 3).values is v
+        assert not cssm_test(x, 1).path.values.flags.writeable
 
     def test_smallest_argmax_wins_ties(self):
         # an exactly tied path is easiest to force through the path type
@@ -262,11 +268,19 @@ class TestCssmTest:
         assert list(params) == ["x", "L", "beta", "alpha", "critical_value"]
         assert params["critical_value"].kind is inspect.Parameter.KEYWORD_ONLY
 
-    def test_no_table_entry_names_critical_value_without_simulating(self, no_bridges):
+    def test_no_table_entry_names_critical_value_without_simulating(self, no_bridges,
+                                                                    monkeypatch):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
         with pytest.raises(ValueError, match="critical_value="):
             cssm_test(x, 2)
         assert cssm_test(x, 2, critical_value=3.0).critical_value == 3.0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimated the covariance before checking the threshold")
+
+        monkeypatch.setattr(cusum, "estimate_longrun_cov", forbidden)
+        with pytest.raises(ValueError, match="critical_value="):
+            cssm_test(x, 2)
 
     def test_iid_gaussian_level_near_nominal(self):
         # size calibration under the null at the 5% level

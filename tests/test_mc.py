@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import inspect
 import math
 import warnings
@@ -317,6 +319,13 @@ class TestReportsCsv:
         first = lines[1].split(",")
         assert first[1] == "product2dep"
         assert first[2] == "500"
+
+    def test_quoted_label_round_trips_through_csv_reader(self):
+        scenario = dataclasses.replace(arma_scenario(reps=2), label='a "quoted", label')
+        rep = run_scenario(scenario, critical_value=2.408)
+        rows = list(csv.reader(report_csv_lines([rep])))
+        assert rows[1][:2] == ['a "quoted", label', "arma11"]
+        assert len(rows[1]) == len(rows[0])
 
     def test_csv_power_column(self):
         rep = run_scenario(arma_scenario(reps=10), critical_value=0.0)
