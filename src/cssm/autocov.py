@@ -19,6 +19,7 @@ import numpy as np
 
 _RESCALE = ("{} products of the series {} double precision; "
             "rescale the series (e.g. divide it by its standard deviation)")
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 
 def _check_count(name: str, value, low: int = 0) -> int:
@@ -81,8 +82,8 @@ def prefix_autocovs(x, L: int) -> np.ndarray:
 
     Returns a read-only (n-L) x (L+1) array: row ``j`` holds the length-(L+1+j)
     prefix, so the last row is the full-sample autocovariances.  Built from
-    running sums of the lagged products, O(n*L) total, in data units: from
-    about max|x| = 1e154 they overflow and raise ValueError, not warnings.
+    running sums of the lagged products, O(n*L) total, in data units: beyond about
+    max|x| = 1e154, or below 1e-154 if nonzero, they raise ValueError, not warnings.
     """
     values = as_timeseries(x).values
     n = values.size
@@ -97,5 +98,7 @@ def prefix_autocovs(x, L: int) -> np.ndarray:
             out[:, h] = csum[L - h:] / k
     if not np.isfinite(out).all():
         raise ValueError(_RESCALE.format("second-order", "overflow"))
+    if out[-1, 0] < _TINY and values.any():
+        raise ValueError(_RESCALE.format("second-order", "underflow"))
     out.setflags(write=False)
     return out

@@ -146,6 +146,7 @@ def cmd_critval(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    open(args.out, "a", encoding="ascii").close()  # an unwritable --out fails before the study
     reports = [rep for table in args.table for rep in run_table(table, args.reps, args.seed)]
     write_reports_csv(reports, args.out)
     for rep in reports:

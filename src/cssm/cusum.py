@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import as_timeseries, prefix_autocovs
+from .autocov import _TINY, as_timeseries, prefix_autocovs
 from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
@@ -78,8 +78,9 @@ def cusum_path(x, C, L: int) -> CusumPath:
     autocovariances and the full-sample ones; a plain array ``C`` is checked
     as a :class:`CovMatrix` for this L.  Prefix autocovariances come from
     running sums: O(n L) for the path plus O(n L^2) for the weighting.  Works
-    in data units: a path past the double range, from a series near max|x| =
-    1e154 or an ill-conditioned ``C``, raises ValueError; its values are read-only.
+    in data units: a path past the double range (a series near max|x| = 1e154
+    or an ill-conditioned ``C``) raises ValueError, as does one that underflows
+    while the prefixes differ (it scales as x^4 / C); its values are read-only.
     """
     ts = as_timeseries(x)
     n = ts.n
@@ -94,8 +95,11 @@ def cusum_path(x, C, L: int) -> CusumPath:
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = (prefix[:-1] - prefix[-1]) @ root
         vals = (k * k / n) * np.einsum("ij,ij->i", weighted, weighted)
-    if not np.isfinite(vals).all():
+    top = vals.max()  # vals >= 0, so any NaN or inf shows here
+    if not top < np.inf:
         raise ValueError("CUSUM path overflows; rescale the series or check C's conditioning")
+    if top < _TINY and (prefix != prefix[-1]).any():
+        raise ValueError("CUSUM path underflows; rescale the series or check C's scale")
     vals.setflags(write=False)
     return CusumPath(values=vals, k_min=L + 1, k_max=n - 1)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _RESCALE, _check_count, _real_copy, as_timeseries
+from .autocov import _RESCALE, _TINY, _check_count, _real_copy, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
 
@@ -137,7 +137,7 @@ def _longrun_terms(values: np.ndarray, L: int,
     trace = float(np.trace(raw))
     # a trace <= 0 carries no scale; gamma(0)^2 has that of the fourth-order terms
     floor = 1e-8 * trace / (L + 1) if trace > 0.0 else 1e-8 * float(g[0]) ** 2
-    if floor < np.finfo(np.float64).tiny:
+    if floor < _TINY:
         if values.any():
             raise ValueError(_RESCALE.format("fourth-order", "underflow"))
         floor = 1e-12  # the all-zero series has no scale at all
@@ -193,10 +193,10 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
 
     Notes
     -----
-    Entry (i, j) is ``sum_l [g(l) g(l-i+j) + g(l+j) g(l-i)] +
-    (eta - 3) g(i) g(j)`` with the sum over ``|l| <= M + L``, which covers
-    every nonzero term for finite-support gamma.  The result carries the
-    fourth power of the innovation scale.
+    Entry (i, j) is ``sum_l [g(l) g(l-i+j) + g(l+j) g(l-i)] + (eta - 3) g(i)
+    g(j) = R(|i-j|) + R(i+j) + (eta - 3) g(i) g(j)``, with the autocorrelation
+    ``R(d) = sum_l g(l) g(l+d)`` of the symmetric g(-M..M) at O(L (M+L)) cost.
+    It is exactly symmetric and carries the fourth power of the innovation scale.
     """
     g = _real_copy(gamma, "gamma").ravel()
     if g.size < 1:
@@ -206,19 +206,10 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     L = _check_count("L", L)
-    m_max = g.size - 1
-
-    def gam(lag: int) -> float:
-        a = abs(lag)
-        return float(g[a]) if a <= m_max else 0.0
-
-    bound = m_max + L
-    out = np.zeros((L + 1, L + 1))
-    for i in range(L + 1):
-        for j in range(i, L + 1):
-            total = 0.0
-            for lag in range(-bound, bound + 1):
-                total += gam(lag) * gam(lag - i + j) + gam(lag + j) * gam(lag - i)
-            total += (eta - 3.0) * gam(i) * gam(j)
-            out[i, j] = out[j, i] = total
+    M = g.size - 1
+    s = np.concatenate((g[:0:-1], g, np.zeros(2 * L)))  # gamma(-M..M), then zeros
+    i, j = np.indices((L + 1, L + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # CovMatrix rejects what overflows
+        R = np.array([s[:s.size - d] @ s[d:] for d in range(2 * L + 1)])
+        out = R[abs(i - j)] + R[i + j] + (eta - 3.0) * np.outer(s[M:M + L + 1], s[M:M + L + 1])
     return CovMatrix(entries=out, L=L)

@@ -80,6 +80,32 @@ def longrun_matrix_reference(x, L: int, beta: float = 0.3) -> np.ndarray:
     return out
 
 
+def bartlett_reference(gamma, eta: float, L: int) -> np.ndarray:
+    """Bartlett's linear-process matrix by the literal sum over lags.
+
+    Entry (i, j) is ``sum_l [g(l) g(l-i+j) + g(l+j) g(l-i)] + (eta - 3)
+    g(i) g(j)`` with g(-l) = g(l), g zero beyond the given lags 0..M, and
+    the sum over ``|l| <= M + L``, which covers every nonzero term.
+    """
+    g = np.asarray(gamma, dtype=np.float64).ravel()
+    m_max = g.size - 1
+
+    def gam(lag: int) -> float:
+        a = abs(lag)
+        return float(g[a]) if a <= m_max else 0.0
+
+    bound = m_max + L
+    out = np.zeros((L + 1, L + 1))
+    for i in range(L + 1):
+        for j in range(i, L + 1):
+            total = 0.0
+            for lag in range(-bound, bound + 1):
+                total += gam(lag) * gam(lag - i + j) + gam(lag + j) * gam(lag - i)
+            total += (eta - 3.0) * gam(i) * gam(j)
+            out[i, j] = out[j, i] = total
+    return out
+
+
 def read_series_reference(path) -> list[float]:
     """Per-line parse of a one-value-per-line file, raising on the first bad line.
 

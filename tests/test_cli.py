@@ -392,6 +392,18 @@ class TestPowerCommand:
         assert len(rows["T2b", "T2a"]) == 9
         assert rows["T2b", "T2a"] == rows["T2b",] + rows["T2a",][1:]
 
+    def test_unwritable_out_fails_before_the_study(self, tmp_path, monkeypatch, capsys):
+        def no_study(*args):
+            raise AssertionError("the study ran before --out was checked")
+
+        monkeypatch.setattr("cssm.cli.run_table", no_study)
+        bad = tmp_path / "missing" / "t1.csv"
+        code, out, err = run_cli("power", "--table", "T1", "--reps", "20",
+                                 "--out", str(bad), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert str(bad) in err
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             "power", "--table", "T2b", "--reps", "5", "--seed", "-3000000",

@@ -232,6 +232,31 @@ class TestCssmTest:
         assert CusumPath(v, 2, 3).values is v
         assert not cssm_test(x, 1).path.values.flags.writeable
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-170])
+    def test_underflowing_scale_raises_without_warnings(self, scale):
+        # gamma_hat(0) of the scaled series is 1.1e-300 at 1e-150 (normal), subnormal at
+        # 1e-160 and zero at 1e-170; the path, fourth order in x, is zero at all three
+        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for L in (0, 1, 3):
+                with pytest.raises(ValueError, match="underflow.*rescale"):
+                    cusum_path(scale * x, np.eye(L + 1), L)
+                if scale > 1e-155:
+                    assert prefix_autocovs(scale * x, L)[-1, 0] >= np.finfo(np.float64).tiny
+                else:
+                    with pytest.raises(ValueError, match="underflow.*rescale"):
+                        prefix_autocovs(scale * x, L)
+                # an all-zero series has no scale to lose: zeros, not an error
+                assert not prefix_autocovs(np.zeros(50), L).any()
+                assert not cusum_path(np.zeros(50), np.eye(L + 1), L).values.any()
+        with pytest.raises(ValueError, match="underflows.*C's scale"):
+            cusum_path(1e-10 * x, 1e300 * np.eye(2), 1)
+        # cssm_test normalises first, so it gives the unscaled answer up to rounding
+        scaled, base = cssm_test(scale * x, 1), cssm_test(x, 1)
+        assert scaled.statistic == pytest.approx(base.statistic, rel=1e-12)
+        assert scaled.change_index == base.change_index
+
     def test_smallest_argmax_wins_ties(self):
         # an exactly tied path is easiest to force through the path type
         path = CusumPath(np.array([1.0, 3.0, 3.0, 0.5]), k_min=2, k_max=5)

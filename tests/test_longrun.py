@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from cssm.cusum import cssm_test
 from cssm.mc import Scenario
 from cssm.models import ChangeSpec, ModelSpec, simulate
 
-from oracles import longrun_matrix_reference, ma1_longrun_matrix, sigma_bar_reference
+from oracles import (bartlett_reference, longrun_matrix_reference, ma1_longrun_matrix,
+                     sigma_bar_reference)
 
 
 class TestTruncationLag:
@@ -279,6 +281,27 @@ class TestBartlettLinear:
         bumped = bartlett_linear(gamma, eta=4.0, L=1).entries
         expected = base + np.outer(gamma, gamma)
         np.testing.assert_allclose(bumped, expected, rtol=1e-12)
+
+    def test_matches_loop_reference(self):
+        # random gamma at lags 0..M, M <= 12, eta in (0, 10), L <= 8, and the M = 0, L = 0 edges
+        rng = np.random.default_rng(18)
+        cases = [([2.0], 3.0, 0), ([2.0], 0.5, 5), ([1.25, 0.5, -0.3], 7.0, 0)]
+        for _ in range(300):
+            gamma = rng.standard_normal(int(rng.integers(1, 14))) * 10.0 ** rng.uniform(-3, 3)
+            cases.append((gamma, float(rng.uniform(0.0, 10.0)), int(rng.integers(0, 9))))
+        for gamma, eta, L in cases:
+            got = bartlett_linear(gamma, eta, L).entries
+            want = bartlett_reference(gamma, eta, L)
+            # entries may cancel, so rounding is judged against the largest one
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    def test_overflow_raises_without_warnings(self, L):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                bartlett_linear([1e200, -1e200, 3e200], 3.0, L)
 
 
 class TestCovMatrixType:
