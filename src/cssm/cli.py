@@ -18,7 +18,8 @@ from .critval import (BUILTIN_TABLE, DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig,
                       critical_value)
 from .cusum import cssm_test
 from .longrun import DEFAULT_BETA, _check_usable_n, truncation_lag
-from .mc import DEFAULT_REPLICATIONS, TABLE_IDS, run_table, write_reports_csv
+from .mc import (DEFAULT_REPLICATIONS, TABLE_IDS, run_scenario, table_scenarios,
+                 write_reports_csv)
 from .models import (DEFAULT_BURN_IN, ChangeSpec, Family, ModelSpec, simulate,
                      simulate_with_change)
 
@@ -146,8 +147,10 @@ def cmd_critval(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    open(args.out, "a", encoding="ascii").close()  # an unwritable --out fails before the study
-    reports = [rep for table in args.table for rep in run_table(table, args.reps, args.seed)]
+    # a bad --reps or --seed, then an unwritable --out, fail before the study and leave no file
+    scenarios = [s for table in args.table for s in table_scenarios(table, args.reps, args.seed)]
+    open(args.out, "a", encoding="ascii").close()
+    reports = [run_scenario(s) for s in scenarios]
     write_reports_csv(reports, args.out)
     for rep in reports:
         print(f"{rep.scenario.label}: power={rep.power:.3f} "

@@ -5,8 +5,9 @@ Two routes to the (L+1) x (L+1) matrix whose (h, k) entry is the limit of
 
 * :func:`estimate_longrun_cov` -- model-free flat-kernel HAC estimate over the
   lagged products ``P[i, h] = x_i x_{i+h}`` up to displacement ``h_n =
-  floor(n**beta)``, one BLAS product ``P[:n-lag].T @ P[lag:]`` per displacement
-  (O(n (L+1)^2 h_n) in all), eigenvalue-floored so it is safely invertible.
+  floor(n**beta)``, summed in row blocks of P that stay in cache, one BLAS
+  product per block and displacement (O(n (L+1)^2 h_n) in all),
+  eigenvalue-floored so it is safely invertible.
 * :func:`bartlett_linear` -- closed form for linear processes with known
   autocovariance function and innovation fourth-moment ratio eta.
 
@@ -24,6 +25,7 @@ import numpy as np
 from .autocov import _RESCALE, _TINY, _check_count, _real_copy, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
+_BLOCK_BYTES = 1 << 18  # bytes of P per row block of the y1 sums; fits a per-core L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +103,11 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
     return float(_longrun_terms(values, k, lag)[0][lag, h, k])
 
 
+def _block_rows(L: int) -> int:
+    """Rows of the float64 lagged-product array P, L + 1 columns wide, in one block."""
+    return max(1, _BLOCK_BYTES // (8 * (int(L) + 1)))  # int(): L may be a small numpy integer
+
+
 def _longrun_terms(values: np.ndarray, L: int,
                    h_n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """``sigma_bar_{h,k}(lag)`` for lags 0..L and displacements 0..h_n, their sum and its floor.
@@ -108,11 +115,13 @@ def _longrun_terms(values: np.ndarray, L: int,
     Returns the (h_n+1, L+1, L+1) term array, the unfloored estimate (the terms
     summed over displacements, divided by n) and the eigenvalue floor of that
     estimate that :func:`estimate_longrun_cov` documents.  ``A = P[:n-lag].T @
-    P[lag:]`` holds the y1 sums; the y2 sums are ``A.T`` less ``cut``, the rows
-    ``i >= n-lag-k`` among the last L (strictly upper triangular).  Needs h_n + L
-    < n.  Fourth-order products past the double range raise ValueError, not
-    warnings, also when only their sum over displacements does; so does a floor
-    that underflows for a nonzero series.
+    P[lag:]`` holds the y1 sums, added up over row blocks of P of ``_BLOCK_BYTES``:
+    each block meets every lag while it is in cache, and for n up to one block
+    the sums are exactly the single products.  The y2 sums are ``A.T`` less
+    ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper
+    triangular).  Needs h_n + L < n.  Fourth-order products past the double
+    range raise ValueError, not warnings, also when only their sum over
+    displacements does; so does a floor that underflows for a nonzero series.
     """
     n = values.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,8 +132,17 @@ def _longrun_terms(values: np.ndarray, L: int,
         edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
         A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
         for lag in range(h_n + 1):
-            np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
             np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+        rows = _block_rows(L)
+        for i0 in range(0, n, rows):  # every lag of one row block while it is in cache
+            for lag in range(h_n + 1):
+                i1 = min(i0 + rows, n - lag)
+                if i1 <= i0:  # and for every larger lag
+                    break
+                if i0 == 0:
+                    np.matmul(P[:i1].T, P[lag:i1 + lag], out=A[lag])
+                else:
+                    A[lag] += P[i0:i1].T @ P[i0 + lag:i1 + lag]
         # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
         sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
         lags = np.arange(h_n + 1)[:, None, None]

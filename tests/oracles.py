@@ -80,6 +80,31 @@ def longrun_matrix_reference(x, L: int, beta: float = 0.3) -> np.ndarray:
     return out
 
 
+def longrun_terms_reference(values: np.ndarray, L: int, h_n: int):
+    """The term array and unfloored sum of ``cssm.longrun._longrun_terms``, one product per lag.
+
+    The y1 sums take one ``P[:n-lag].T @ P[lag:]`` over all rows per
+    displacement, which the row-blocked kernel must reproduce; the rest is
+    the kernel's own array code.  Returns ``(terms, raw)``.
+    """
+    n = values.size
+    P = np.zeros((n, L + 1))
+    for h in range(L + 1):
+        P[:n - h, h] = values[:n - h] * values[h:]
+    k = np.arange(L + 1)
+    edge = np.arange(L)[:, None] >= L - k
+    A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
+    for lag in range(h_n + 1):
+        np.matmul(P[:n - lag].T, P[lag:], out=A[lag])
+        np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+    sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
+    lags = np.arange(h_n + 1)[:, None, None]
+    counts = np.where(lags > 0, n - lags, n / 2)
+    g = np.array([values[:n - h] @ values[h:] for h in range(L + 1)]) / n
+    terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
+    return terms, terms.sum(axis=0) / n
+
+
 def bartlett_reference(gamma, eta: float, L: int) -> np.ndarray:
     """Bartlett's linear-process matrix by the literal sum over lags.
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,17 +83,39 @@ class TestReadSeriesParity:
         (b"1.0\n2.0\ninf\n", "line 3: non-finite"),
         (b"nan\nfoo\n", "line 1: non-finite"),
         (b"\n  \n# only a comment\n", "no data lines found"),
+        (b"1 2\n", "line 1: not a number"),
+        (b"1 2\n3 4\n5 6\n", "line 1: not a number"),
+        (b"1 # c\n2\n", "line 1: not a number"),
+        (b"# header\n1.5\n-2.5\n", [1.5, -2.5]),
+        ("\u0661\u0662\n\u0663.\u0665\n".encode(), [12.0, 3.5]),
+        (b"\n \n\t\n", "no data lines found"),
+        (b"", "no data lines found"),
+        ("1.0\u20282.0\n".encode(), "line 1: not a number"),
+        (b"1\x00\n2\n", "line 1: not a number"),
+        (b"1e400\n2\n", "line 1: non-finite"),
     ], ids=["crlf", "cr", "no-final-newline", "underscore-and-plus", "two-fields",
-            "form-feed", "inf", "first-bad-line-wins", "no-data"])
+            "form-feed", "inf", "first-bad-line-wins", "no-data", "one-line-two-fields",
+            "two-columns", "inline-comment", "header", "arabic-indic-digits", "blank-only",
+            "empty", "line-separator", "nul", "overflow"])
     def test_same_outcome_as_per_line_loop(self, tmp_path, raw, want):
         f = tmp_path / "x.txt"
         f.write_bytes(raw)
-        got = parse_outcome(read_series, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning may reach the user
+            got = parse_outcome(read_series, f)
         assert got == parse_outcome(read_series_reference, f)
         if isinstance(want, str):
             assert isinstance(got, str) and want in got
         else:
             assert got == want
+
+    def test_simulated_file_is_bit_identical(self, tmp_path, capsys):
+        f = tmp_path / "long.txt"
+        assert main(["simulate", "--family", "garch11", "--params", "0.1,0.1,0.8",
+                     "--n", "100000", "--seed", "5", "--out", str(f)]) == 0
+        got = read_series(f)
+        assert got.dtype == np.float64 and got.shape == (100000,)
+        assert got.tobytes() == np.array(read_series_reference(f)).tobytes()
 
 
 class TestSimulate:
@@ -396,13 +420,29 @@ class TestPowerCommand:
         def no_study(*args):
             raise AssertionError("the study ran before --out was checked")
 
-        monkeypatch.setattr("cssm.cli.run_table", no_study)
+        monkeypatch.setattr("cssm.cli.run_scenario", no_study)
         bad = tmp_path / "missing" / "t1.csv"
         code, out, err = run_cli("power", "--table", "T1", "--reps", "20",
                                  "--out", str(bad), capsys=capsys)
         assert code == 2
         assert out == ""
         assert str(bad) in err
+
+    @pytest.mark.parametrize("reps,seed,message", [
+        ("3", "-5", "seed must be >= 0, got -5"),
+        ("0", "1", "replications must be >= 1"),
+    ])
+    def test_failed_study_leaves_out_as_it_was(self, tmp_path, reps, seed, message, capsys):
+        fresh, kept = tmp_path / "new.csv", tmp_path / "old.csv"
+        kept.write_bytes(b"scenario,earlier run\r\n")
+        for out in (fresh, kept):
+            code, stdout, err = run_cli("power", "--table", "T2b", "--reps", reps, "--seed", seed,
+                                        "--out", str(out), capsys=capsys)
+            assert code == 2
+            assert stdout == ""
+            assert message in err
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"scenario,earlier run\r\n"
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cssm.longrun import (
     CovMatrix,
+    _block_rows,
     _longrun_terms,
     _min_usable_n,
     bartlett_linear,
@@ -19,8 +20,8 @@ from cssm.cusum import cssm_test
 from cssm.mc import Scenario
 from cssm.models import ChangeSpec, ModelSpec, simulate
 
-from oracles import (bartlett_reference, longrun_matrix_reference, ma1_longrun_matrix,
-                     sigma_bar_reference)
+from oracles import (bartlett_reference, longrun_matrix_reference, longrun_terms_reference,
+                     ma1_longrun_matrix, sigma_bar_reference)
 
 
 class TestTruncationLag:
@@ -242,6 +243,37 @@ class TestEstimatorMatchesLoopOracle:
         x = np.random.default_rng(1000 + 10 * 4 + 60).standard_normal(60)
         floor = estimate_longrun_cov(x, 4).eps_floor
         assert np.linalg.eigvalsh(longrun_matrix_reference(x, 4))[0] > floor
+
+
+class TestBlockedSumsMatchPerLagLoop:
+    """The row-blocked y1 sums against the one product per lag that they replaced.
+
+    Up to one block of rows the kernel makes exactly the loop's calls.  Past
+    it the partial sums round differently; at 3 blocks + 5 rows the last
+    block is shorter than the larger lags, which skip it.
+    """
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    @pytest.mark.parametrize("size", ["minimum", 60, 1000, "block"])
+    def test_one_block_is_bit_identical(self, L, size):
+        n = {"minimum": _min_usable_n(L, 0.3), "block": _block_rows(L)}.get(size, size)
+        h_n = truncation_lag(n, 0.3)
+        if size == "minimum":
+            assert n == L + h_n + 1
+        x = np.random.default_rng(n + L).standard_normal(n)
+        terms, raw, _ = _longrun_terms(x, L, h_n)
+        want_terms, want_raw = longrun_terms_reference(x, L, h_n)
+        assert np.array_equal(terms, want_terms)
+        assert np.array_equal(raw, want_raw)
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    def test_several_blocks_agree_to_rounding(self, L):
+        n = 3 * _block_rows(L) + 5
+        h_n = truncation_lag(n, 0.3)
+        assert h_n > 5  # the lags above 5 skip the last block
+        x = np.random.default_rng(n + L).standard_normal(n)
+        for got, want in zip(_longrun_terms(x, L, h_n), longrun_terms_reference(x, L, h_n)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestBartlettLinear:
