@@ -25,7 +25,8 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal double
 def _check_count(name: str, value, low: int = 0) -> int:
     """``value`` as an int if it is an integer >= ``low``, else a ValueError naming ``name``.
 
-    numpy integers pass; a float such as 2.0 fails, as numpy takes none for a size."""
+    numpy integers pass; a float such as 2.0 fails, as numpy takes none for a size.
+    Callers keep the returned int: a small numpy integer would overflow in the kernels."""
     try:
         count = operator.index(value)
     except TypeError:
@@ -33,6 +34,12 @@ def _check_count(name: str, value, low: int = 0) -> int:
     if count < low:
         raise ValueError(f"{name} must be >= {low}, got {count}")
     return count
+
+
+def _store_counts(record, **lows: int) -> None:
+    """Check each named count field of a frozen dataclass and store the int that passes."""
+    for name, low in lows.items():
+        object.__setattr__(record, name, _check_count(name, getattr(record, name), low))
 
 
 def _real_copy(x, what: str) -> np.ndarray:

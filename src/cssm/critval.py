@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autocov import _check_count
+from .autocov import _check_count, _store_counts
 
 # Replications are generated in fixed-size batches, each drawing from its own
 # spawned stream, so results depend only on (L, grid, replications, seed) and
@@ -69,9 +69,8 @@ class BridgeConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        _check_count("grid_points", self.grid_points, 100)
-        _check_count("replications", self.replications, 1000)
-        if _check_count("seed", self.seed, 1) >= 2 ** 64:
+        _store_counts(self, grid_points=100, replications=1000, seed=1)
+        if self.seed >= 2 ** 64:
             raise ValueError(f"seed must be < 2**64, got {self.seed}")
 
 

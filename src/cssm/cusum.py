@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import _TINY, as_timeseries, prefix_autocovs
+from .autocov import _TINY, _check_count, as_timeseries, prefix_autocovs
 from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
@@ -83,7 +83,7 @@ def cusum_path(x, C, L: int) -> CusumPath:
     while the prefixes differ (it scales as x^4 / C); its values are read-only.
     """
     ts = as_timeseries(x)
-    n = ts.n
+    n, L = ts.n, _check_count("L", L)
     C = C if isinstance(C, CovMatrix) else CovMatrix(C, L)
     if C.L != L:
         raise ValueError(f"covariance matrix is for L={C.L}, expected L={L}")
@@ -123,7 +123,7 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
     """
     _critval._check_alpha(alpha)
     critical_value = _critval._check_critical_value(critical_value, L, alpha)
-    values = as_timeseries(x).values
+    values, L = as_timeseries(x).values, _check_count("L", L)
     # a power of two rescales exactly, and max|x| < 1 keeps fourth-order terms in range
     ts = as_timeseries(np.ldexp(values, -np.frexp(np.abs(values).max())[1]))
     path = cusum_path(ts, estimate_longrun_cov(ts, L, beta), L)

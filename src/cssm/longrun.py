@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _RESCALE, _TINY, _check_count, _real_copy, as_timeseries
+from .autocov import _RESCALE, _TINY, _check_count, _real_copy, _store_counts, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
 _BLOCK_BYTES = 1 << 18  # bytes of P per row block of the y1 sums; fits a per-core L2
@@ -41,7 +41,8 @@ class CovMatrix:
     eps_floor: float | None = None
 
     def __post_init__(self) -> None:
-        d = _check_count("L", self.L) + 1
+        _store_counts(self, L=0)
+        d = self.L + 1
         arr = _real_copy(self.entries, "covariance matrix")
         if arr.shape != (d, d):
             raise ValueError(f"entries must be {d}x{d} for L={self.L}, got {arr.shape}")
@@ -68,13 +69,14 @@ def _min_usable_n(L: int, beta: float) -> int:
     return n
 
 
-def _check_usable_n(n: int, L: int, beta: float) -> None:
-    """Raise ValueError naming the smallest usable n unless h_n + L < n; checks n, L and beta."""
+def _check_usable_n(n: int, L: int, beta: float) -> tuple[int, int]:
+    """The checked ``(n, L)``; ValueError naming the smallest usable n unless h_n + L < n."""
     n, L = _check_count("n", n), _check_count("L", L)
     n_min = _min_usable_n(L, beta)
     if n < n_min:
         raise ValueError(f"insufficient data: n={n} with L={L}, beta={beta}; "
                          f"minimum usable n is {n_min}")
+    return n, L
 
 
 def sigma_bar(x, h: int, k: int, lag: int) -> float:
@@ -105,7 +107,7 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
 
 def _block_rows(L: int) -> int:
     """Rows of the float64 lagged-product array P, L + 1 columns wide, in one block."""
-    return max(1, _BLOCK_BYTES // (8 * (int(L) + 1)))  # int(): L may be a small numpy integer
+    return max(1, _BLOCK_BYTES // (8 * (L + 1)))
 
 
 def _longrun_terms(values: np.ndarray, L: int,
@@ -184,8 +186,7 @@ def estimate_longrun_cov(x, L: int, beta: float = DEFAULT_BETA) -> CovMatrix:
         underflow, asking for the series to be rescaled.
     """
     values = as_timeseries(x).values
-    n = values.size
-    _check_usable_n(n, L, beta)
+    n, L = _check_usable_n(values.size, L, beta)
     _, raw, floor = _longrun_terms(values, L, truncation_lag(n, beta))
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critval as _critval
-from .autocov import _check_count
+from .autocov import _check_count, _store_counts
 from .critval import DEFAULT_ALPHA, DEFAULT_SEED
 from .cusum import cssm_test
 from .longrun import DEFAULT_BETA, _check_usable_n
@@ -61,10 +61,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         _critval._check_alpha(self.alpha)
+        _store_counts(self, n=0, L=0, seed=0, replications=1)
         _check_usable_n(self.n, self.L, self.beta)
         _check_change_index(self.change.change_index, self.n)
-        _check_count("seed", self.seed)
-        if _check_count("replications", self.replications, 1) >= _SEED_STRIDE:
+        if self.replications >= _SEED_STRIDE:
             raise ValueError(f"replications must be < {_SEED_STRIDE} "
                              "to keep seed streams disjoint")
 

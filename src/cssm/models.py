@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autocov import TimeSeries, _check_count
+from .autocov import TimeSeries, _check_count, _store_counts
 
 DEFAULT_BURN_IN = 500
 
@@ -116,7 +116,7 @@ class ChangeSpec:
     spec_after: ModelSpec
 
     def __post_init__(self) -> None:
-        _check_count("change_index", self.change_index, 1)
+        _store_counts(self, change_index=1)
         if self.spec_before.family is not self.spec_after.family:
             raise ValueError(
                 f"change must stay within one family, got "

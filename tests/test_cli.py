@@ -265,6 +265,15 @@ class TestDetect:
         assert abs(idx - 500) <= 60
         assert report.read_text().strip() == out.strip()
 
+    def test_readme_demo(self, tmp_path, capsys):
+        demo = tmp_path / "demo.txt"
+        assert main(["simulate", "--family", "product2dep", "--params", "0,1", "--n", "1000",
+                     "--seed", "12344", "--change-at", "500", "--params-after", "0,1.26",
+                     "--out", str(demo)]) == 0
+        code, out, _ = run_cli("detect", str(demo), "--L", "1", capsys=capsys)
+        assert code == 1
+        assert {"statistic: 2.63241", "change_index: 534"} <= set(out.splitlines())
+
     def test_emit_path_matches_statistic(self, tmp_path, capsys):
         sim = tmp_path / "series.txt"
         main([

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +332,23 @@ class TestReportsCsv:
         rep = run_scenario(arma_scenario(reps=10), critical_value=0.0)
         line = report_csv_lines([rep])[1]
         assert ",1.000000," in line
+
+
+GOLDEN = Path(__file__).parent / "golden" / "study_r200_s12345.csv"
+REGENERATE = ("cssm power --table T1 T2a T2b T3 --reps 200 --seed 12345 --out study.csv "
+              f"&& cut -d, -f1-13 study.csv > tests/golden/{GOLDEN.name}")
+
+
+def test_study_tallies_match_the_golden_file():
+    # columns 1-13 leave out only the wall time; no study label holds a comma
+    scenarios = [s for table in TABLE_IDS for s in table_scenarios(table, 200, 12345)]
+    got = [line.split(",")[:13] for line in report_csv_lines([run_scenario(s) for s in scenarios])]
+    want = [line.split(",") for line in GOLDEN.read_text(encoding="ascii").splitlines()]
+    assert len(got) == len(want) == 37
+    header = want[0]
+    for row, (got_row, want_row) in enumerate(zip(got, want)):
+        for col, (g, w) in enumerate(zip(got_row, want_row)):
+            assert g == w, (f"row {row} ({want_row[0]}), column {header[col]}: got {g}, "
+                            f"golden {w}; if the change is intended, regenerate with "
+                            f"{REGENERATE}")
+        assert len(got_row) == len(want_row) == 13

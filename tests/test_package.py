@@ -1,13 +1,14 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import cssm
-from cssm import (BridgeConfig, ChangeSpec, ModelSpec, Scenario, critical_value, cssm_test,
-                  estimate_longrun_cov, sigma_bar, simulate, simulate_with_change,
-                  table_scenarios, truncation_lag)
+from cssm import (BridgeConfig, ChangeSpec, CovMatrix, ModelSpec, Scenario, critical_value,
+                  cssm_test, cusum_path, estimate_longrun_cov, run_scenario, sigma_bar, simulate,
+                  simulate_bridge_sup, simulate_with_change, table_scenarios, truncation_lag)
 
 
 def test_star_import_resolves_every_public_name():
@@ -61,8 +62,67 @@ def test_float_count_raises_naming_the_argument(name, call):
         call()
 
 
-def test_numpy_integer_counts_give_the_same_result():
-    want = cssm_test(_X, 1)
-    got = cssm_test(simulate(_SPEC, np.int64(300), seed=np.uint32(1)), np.int16(1))
-    assert got.statistic == want.statistic and got.change_index == want.change_index
-    assert critical_value(np.int64(1), 0.05) == critical_value(1, 0.05)
+_X400 = simulate(_SPEC, 400, seed=1)
+_C3 = estimate_longrun_cov(_X400, 3)
+_GARCH = ModelSpec.garch11(0.5, 0.1, 0.2)
+
+
+def _tally(scenario):
+    rep = run_scenario(scenario, critical_value=3.0)
+    return rep.rejections, rep.replications, rep.failures, rep.mean_change_index
+
+
+# each call takes count(dtype, value): that numpy integer in one run, the plain int in the other
+NUMPY_COUNT_CALLS = [
+    pytest.param(lambda count: cssm_test(simulate(_SPEC, count(np.int64, 300),
+                                                  seed=count(np.uint32, 1)), count(np.int16, 1)),
+                 id="cssm_test-simulate"),
+    pytest.param(lambda count: critical_value(count(np.int64, 1), 0.05), id="critical_value"),
+    *[pytest.param(lambda count, L=L: cssm_test(_X400, count(np.int8, L), critical_value=3.0),
+                   id=f"cssm_test-int8-{L}") for L in (3, 100, 127)],
+    pytest.param(lambda count: estimate_longrun_cov(_X400, count(np.int8, 100)).entries,
+                 id="estimate_longrun_cov-int8"),
+    pytest.param(lambda count: cssm_test(simulate(_GARCH, 10 ** 5, seed=1), count(np.int16, 3),
+                                         critical_value=3.0), id="cssm_test-int16-long"),
+    *[pytest.param(lambda count, t=t: cusum_path(_X400, _C3, count(t, 3)).values,
+                   id=f"cusum_path-{t.__name__}") for t in (np.int8, np.uint8)],
+    pytest.param(lambda count: simulate_with_change(
+        ChangeSpec(count(np.int8, 100), _SPEC, ModelSpec.arma11(0.6, 0.1)), 400, 1).values,
+                 id="simulate_with_change-change_index"),
+    pytest.param(lambda count: simulate_bridge_sup(2, BridgeConfig(
+        grid_points=count(np.int16, 2000), replications=1000, seed=1)), id="BridgeConfig-grid"),
+    pytest.param(lambda count: _tally(Scenario(
+        "s", ChangeSpec(150, _SPEC, ModelSpec.arma11(0.6, 0.1)), 300, replications=300,
+        seed=count(np.uint8, 5))), id="Scenario-seed"),
+    pytest.param(lambda count: _tally(Scenario(
+        "s", ChangeSpec(250, _SPEC, _SPEC), 500, L=count(np.int8, 100), replications=3)),
+                 id="Scenario-L"),
+]
+
+
+@pytest.mark.parametrize("call", NUMPY_COUNT_CALLS)
+def test_numpy_integer_counts_give_the_same_result(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(lambda dtype, value: dtype(value))
+    np.testing.assert_equal(got, call(lambda dtype, value: value))
+
+
+def test_records_and_results_keep_the_checked_int():
+    bridge = BridgeConfig(np.int16(2000), np.int32(1000), np.uint8(7))
+    scenario = Scenario("s", ChangeSpec(np.int16(150), _SPEC, _SPEC), np.int16(300),
+                        L=np.int8(1), replications=np.int32(10), seed=np.uint8(5))
+    counts = {
+        "CovMatrix.L": CovMatrix(np.eye(2), np.int8(1)).L,
+        "estimate_longrun_cov L": estimate_longrun_cov(_X, np.int8(1)).L,
+        "TestResult.L": cssm_test(_X, np.int16(1)).L,
+        "BridgeConfig.grid_points": bridge.grid_points,
+        "BridgeConfig.replications": bridge.replications,
+        "BridgeConfig.seed": bridge.seed,
+        "ChangeSpec.change_index": scenario.change.change_index,
+        "Scenario.n": scenario.n,
+        "Scenario.L": scenario.L,
+        "Scenario.replications": scenario.replications,
+        "Scenario.seed": scenario.seed,
+    }
+    assert {name: type(value) for name, value in counts.items()} == dict.fromkeys(counts, int)
