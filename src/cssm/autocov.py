@@ -84,28 +84,59 @@ def as_timeseries(x) -> TimeSeries:
     return TimeSeries(x)
 
 
+def _as_stack(x) -> tuple[np.ndarray, bool]:
+    """``x`` as an (R, n) float64 stack of series, and whether it was one series.
+
+    A :class:`TimeSeries` or any input that is not two-dimensional is checked as
+    one series and becomes the stack of one; a 2-D array gets the same checks at
+    once, and a float64 one is read in place, not copied.
+    """
+    if isinstance(x, TimeSeries) or np.ndim(x) != 2:
+        return as_timeseries(x).values[None], True
+    arr = x if isinstance(x, np.ndarray) and x.dtype == np.float64 else _real_copy(x, "series")
+    if arr.size < 1:
+        raise ValueError("series must contain at least one observation")
+    if not np.isfinite(arr).all():
+        raise ValueError("series contains NaN or infinite values")
+    return arr, False
+
+
+def _prefix_autocovs(values: np.ndarray, L: int) -> np.ndarray:
+    """:func:`prefix_autocovs` of each row of an (R, n) stack, as a writable (R, n-L, L+1) view.
+
+    One cumsum along time serves every lag: lag h holds the products x[i-h] x[i]
+    that end at i, zero for i < h, so its running sum at k-1 is the lag-h sum of x[:k].
+    """
+    n = values.shape[1]
+    if L >= n:
+        raise ValueError(f"need L < n, got L={L} with n={n}")
+    sums = np.empty((len(values), L + 1, n))  # time last, so each pass runs along it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(L + 1):
+            sums[:, h, :h] = 0.0
+            np.multiply(values[:, :n - h], values[:, h:], out=sums[:, h, h:])
+        np.cumsum(sums, axis=2, out=sums)
+        out = sums[:, :, L:]
+        out /= np.arange(L + 1, n + 1, dtype=np.float64)
+        out = np.swapaxes(out, 1, 2)
+    if not np.isfinite(out).all():
+        raise ValueError(_RESCALE.format("second-order", "overflow"))
+    low = out[:, -1, 0] < _TINY
+    if low.any() and values[low].any():
+        raise ValueError(_RESCALE.format("second-order", "underflow"))
+    return out
+
+
 def prefix_autocovs(x, L: int) -> np.ndarray:
     """Autocovariances at lags 0..L of every prefix ``x[:k]``, k = L+1..n; needs L < n.
 
     Returns a read-only (n-L) x (L+1) array: row ``j`` holds the length-(L+1+j)
-    prefix, so the last row is the full-sample autocovariances.  Built from
-    running sums of the lagged products, O(n*L) total, in data units: beyond about
+    prefix, so the last row is the full-sample autocovariances.  An (R, n) stack
+    of series gives the (R, n-L, L+1) array of their rows.  Built from one running
+    sum along time of the lagged products, O(n*L) total, in data units: beyond about
     max|x| = 1e154, or below 1e-154 if nonzero, they raise ValueError, not warnings.
     """
-    values = as_timeseries(x).values
-    n = values.size
-    L = _check_count("L", L)
-    if L >= n:
-        raise ValueError(f"need L < n, got L={L} with n={n}")
-    out = np.empty((n - L, L + 1))
-    k = np.arange(L + 1, n + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h in range(L + 1):
-            csum = np.cumsum(values[: n - h] * values[h:])
-            out[:, h] = csum[L - h:] / k
-    if not np.isfinite(out).all():
-        raise ValueError(_RESCALE.format("second-order", "overflow"))
-    if out[-1, 0] < _TINY and values.any():
-        raise ValueError(_RESCALE.format("second-order", "underflow"))
+    values, single = _as_stack(x)
+    out = _prefix_autocovs(values, _check_count("L", L))
     out.setflags(write=False)
-    return out
+    return out[0] if single else out

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import _TINY, _check_count, as_timeseries, prefix_autocovs
+from .autocov import _TINY, _as_stack, _check_count, _prefix_autocovs
 from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
+
+_BLOCK_BYTES = 1 << 18  # bytes of prefix sums per block of a stack's rows; fits a per-core L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,15 +62,16 @@ def inv_sqrt(C) -> np.ndarray:
 
     Computed by eigendecomposition; accepts a :class:`CovMatrix` or a
     plain array that passes its checks (square, finite, exactly symmetric).
+    A stack of matrices, with a leading axis, gives the stack of their roots
+    from one ``eigh``.
     """
     if not isinstance(C, CovMatrix):
-        C = CovMatrix(C, L=len(np.atleast_1d(C)) - 1)
+        C = CovMatrix(C, L=np.atleast_1d(C).shape[-1] - 1)
     eigvals, eigvecs = np.linalg.eigh(C.entries)
-    if eigvals[0] <= 0.0:
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {eigvals[0]:.3e})"
-        )
-    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    low = eigvals[..., 0].min()
+    if low <= 0.0:
+        raise ValueError(f"matrix is not positive definite (min eigenvalue {low:.3e})")
+    return (eigvecs / np.sqrt(eigvals)[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
 
 
 def cusum_path(x, C, L: int) -> CusumPath:
@@ -76,36 +79,54 @@ def cusum_path(x, C, L: int) -> CusumPath:
 
     ``d_k`` stacks the lag-0..L differences between the length-k prefix
     autocovariances and the full-sample ones; a plain array ``C`` is checked
-    as a :class:`CovMatrix` for this L.  Prefix autocovariances come from
-    running sums: O(n L) for the path plus O(n L^2) for the weighting.  Works
-    in data units: a path past the double range (a series near max|x| = 1e154
-    or an ill-conditioned ``C``) raises ValueError, as does one that underflows
-    while the prefixes differ (it scales as x^4 / C); its values are read-only.
+    as a :class:`CovMatrix` for this L.  An (R, n) stack of series takes one
+    matrix for all rows or a stack of R (one ``eigh``), and gives an (R, n-L-1)
+    path whose row r is the path of row r, weighted in blocks of rows whose
+    prefix sums stay in cache.  Prefix autocovariances come from running sums:
+    O(n L) for the path plus O(n L^2) for the weighting.  Works in data units:
+    a path past the double range (a series near max|x| = 1e154 or an
+    ill-conditioned ``C``) raises ValueError, as does one that underflows while
+    the prefixes differ (it scales as x^4 / C); its values are read-only.
     """
-    ts = as_timeseries(x)
-    n, L = ts.n, _check_count("L", L)
+    values, single = _as_stack(x)
+    R, n = values.shape
+    L = _check_count("L", L)
     C = C if isinstance(C, CovMatrix) else CovMatrix(C, L)
     if C.L != L:
         raise ValueError(f"covariance matrix is for L={C.L}, expected L={L}")
+    if C.entries.ndim == 3 and len(C.entries) != R:
+        raise ValueError(f"{len(C.entries)} covariance matrices for {R} series")
     if n < L + 2:
         raise ValueError(f"need n >= L + 2 for a nonempty path, got n={n}, L={L}")
     root = inv_sqrt(C)
-    prefix = prefix_autocovs(ts, L)
-    k = np.arange(L + 1, n, dtype=np.float64)
+    rows = max(1, _BLOCK_BYTES // (8 * n * (L + 1)))
+    paths = []
+    # Each block makes its path and the k^2/n scale after its temporaries, as one series
+    # always did: made up front, they changed which freed memory the allocator kept
+    # mapped, and with it the page faults of large arrays made later in the process.
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = (prefix[:-1] - prefix[-1]) @ root
-        vals = (k * k / n) * np.einsum("ij,ij->i", weighted, weighted)
-    top = vals.max()  # vals >= 0, so any NaN or inf shows here
-    if not top < np.inf:
-        raise ValueError("CUSUM path overflows; rescale the series or check C's conditioning")
-    if top < _TINY and (prefix != prefix[-1]).any():
-        raise ValueError("CUSUM path underflows; rescale the series or check C's scale")
+        for block in (slice(r, r + rows) for r in range(0, R, rows)):  # each stays in cache
+            prefix = _prefix_autocovs(values[block], L)
+            diff = prefix[:, :-1]
+            diff -= prefix[:, -1:]  # in place: each prefix less the full sample
+            weighted = diff @ (root if root.ndim == 2 else root[block])
+            path = np.einsum("rij,rij->ri", weighted, weighted)
+            k = np.arange(L + 1, n, dtype=np.float64)
+            path *= k * k / n
+            top = path.max(axis=1)  # paths are >= 0, so any NaN or inf shows here
+            if not (top < np.inf).all():
+                raise ValueError("CUSUM path overflows; "
+                                 "rescale the series or check C's conditioning")
+            if (top < _TINY).any() and diff[top < _TINY].any():
+                raise ValueError("CUSUM path underflows; rescale the series or check C's scale")
+            paths.append(path)
+    vals = paths[0] if len(paths) == 1 else np.concatenate(paths)
     vals.setflags(write=False)
-    return CusumPath(values=vals, k_min=L + 1, k_max=n - 1)
+    return CusumPath(values=vals[0] if single else vals, k_min=L + 1, k_max=n - 1)
 
 
 def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,
-              *, critical_value: float | None = None) -> TestResult:
+              *, critical_value: float | None = None) -> TestResult | list[TestResult]:
     """Test for a change in the autocovariance structure at lags 0..L.
 
     Estimates the long-run covariance from the full series with cutoff
@@ -118,23 +139,28 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
     double range: the series is first divided by the power of two that puts
     max|x| in [0.5, 1), which changes no rounding for data of ordinary scale.
 
+    An (R, n) stack of series gives a list of R results, row r's equal to
+    ``cssm_test(x[r], ...)`` down to the path bytes: each row gets its own
+    power of two and its own :func:`estimate_longrun_cov`, and one
+    :func:`cusum_path` call weights them all.  A 1-D series is the stack of
+    one, so both take the same code.
+
     Ties in the argmax resolve to the smallest k.  The result carries the
     path itself for plotting or export.
     """
     _critval._check_alpha(alpha)
     critical_value = _critval._check_critical_value(critical_value, L, alpha)
-    values, L = as_timeseries(x).values, _check_count("L", L)
+    L = _check_count("L", L)
+    values, single = _as_stack(x)
     # a power of two rescales exactly, and max|x| < 1 keeps fourth-order terms in range
-    ts = as_timeseries(np.ldexp(values, -np.frexp(np.abs(values).max())[1]))
-    path = cusum_path(ts, estimate_longrun_cov(ts, L, beta), L)
-    best = int(np.argmax(path.values))
-    statistic = float(path.values[best])
-    return TestResult(
-        statistic=statistic,
-        change_index=path.k_min + best,
-        critical_value=critical_value,
-        reject=statistic >= critical_value,
-        L=L,
-        n=ts.n,
-        path=path,
-    )
+    exps = np.frexp(np.abs(values).max(axis=1))[1]
+    scaled = np.ldexp(values, -exps[:, None], out=np.empty(values.shape))
+    covs = CovMatrix(np.array([estimate_longrun_cov(row, L, beta).entries for row in scaled]), L)
+    path = cusum_path(scaled, covs, L)
+    best = path.values.argmax(axis=1)  # ties resolve to the smallest k
+    stats = path.values[np.arange(len(best)), best].tolist()
+    n, k_min, k_max = scaled.shape[1], path.k_min, path.k_max
+    results = [TestResult(statistic=s, change_index=k_min + b, critical_value=critical_value,
+                          reject=s >= critical_value, L=L, n=n, path=CusumPath(v, k_min, k_max))
+               for v, b, s in zip(path.values, best.tolist(), stats)]
+    return results[0] if single else results

@@ -17,6 +17,7 @@ exploits as an oracle check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ _BLOCK_BYTES = 1 << 18  # bytes of P per row block of the y1 sums; fits a per-co
 class CovMatrix:
     """Symmetric covariance matrix of the lag-0..L autocovariance estimators.
 
+    ``entries`` may carry a leading axis: a stack of matrices, one per series
+    of a stack, which :func:`cssm.cusum.cusum_path` weights row by row.
     ``eps_floor`` records the eigenvalue floor applied by
     :func:`estimate_longrun_cov`; it is None for closed-form matrices.
     """
@@ -44,11 +47,11 @@ class CovMatrix:
         _store_counts(self, L=0)
         d = self.L + 1
         arr = _real_copy(self.entries, "covariance matrix")
-        if arr.shape != (d, d):
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != (d, d):
             raise ValueError(f"entries must be {d}x{d} for L={self.L}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("covariance matrix has non-finite entries")
-        if not np.array_equal(arr, arr.T):
+        if not (arr == np.swapaxes(arr, -1, -2)).all():  # the shape is square, the entries finite
             raise ValueError("covariance matrix must be exactly symmetric")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -110,6 +113,24 @@ def _block_rows(L: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (L + 1)))
 
 
+@functools.lru_cache(maxsize=16)
+def _term_constants(n: int, L: int, h_n: int) -> tuple[np.ndarray, ...]:
+    """The read-only arrays of :func:`_longrun_terms` that depend on (n, L, h_n) alone.
+
+    A Monte Carlo study estimates thousands of series of one length, so each
+    is built once.
+    """
+    k, lags = np.arange(L + 1), np.arange(h_n + 1)
+    edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
+    last = (n - L - lags)[:, None] + np.arange(L)  # rows n-lag-L..n-lag-1 of each lag
+    lags = lags[:, None, None]
+    counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
+    kept = n - lags - np.maximum.outer(k, k)  # complete products at (lag, h, k)
+    for arr in (edge, last, counts, kept):
+        arr.setflags(write=False)
+    return edge, last, counts, kept
+
+
 def _longrun_terms(values: np.ndarray, L: int,
                    h_n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """``sigma_bar_{h,k}(lag)`` for lags 0..L and displacements 0..h_n, their sum and its floor.
@@ -121,20 +142,19 @@ def _longrun_terms(values: np.ndarray, L: int,
     each block meets every lag while it is in cache, and for n up to one block
     the sums are exactly the single products.  The y2 sums are ``A.T`` less
     ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper
-    triangular).  Needs h_n + L < n.  Fourth-order products past the double
-    range raise ValueError, not warnings, also when only their sum over
-    displacements does; so does a floor that underflows for a nonzero series.
+    triangular), for every lag from one gather of those rows and one product.
+    Needs h_n + L < n.  Fourth-order products past the double range raise
+    ValueError, not warnings, also when only their sum over displacements
+    does; so does a floor that underflows for a nonzero series.
     """
     n = values.size
+    edge, last, counts, kept = _term_constants(n, L, h_n)
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.zeros((n, L + 1))
         for h in range(L + 1):
             P[:n - h, h] = values[:n - h] * values[h:]
-        k = np.arange(L + 1)
-        edge = np.arange(L)[:, None] >= L - k  # row n-lag-L+r is cut for column k
-        A, cut = np.empty((2, h_n + 1, L + 1, L + 1))
-        for lag in range(h_n + 1):
-            np.matmul(P[n - L:].T, P[n - lag - L:n - lag] * edge, out=cut[lag])
+        cut = P[n - L:].T @ (P[last] * edge)
+        A = np.empty((h_n + 1, L + 1, L + 1))
         rows = _block_rows(L)
         for i0 in range(0, n, rows):  # every lag of one row block while it is in cache
             for lag in range(h_n + 1):
@@ -147,10 +167,8 @@ def _longrun_terms(values: np.ndarray, L: int,
                     A[lag] += P[i0:i1].T @ P[i0 + lag:i1 + lag]
         # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
         sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
-        lags = np.arange(h_n + 1)[:, None, None]
-        counts = np.where(lags > 0, n - lags, n / 2)  # outer summands, halved at lag 0
         g = np.array([values[:n - h] @ values[h:] for h in range(L + 1)]) / n
-        terms = counts * (sums / (n - lags - np.maximum.outer(k, k)) - 2.0 * np.outer(g, g))
+        terms = counts * (sums / kept - 2.0 * np.outer(g, g))
         raw = terms.sum(axis=0) / n
         if not np.isfinite(raw).all():
             raise ValueError(_RESCALE.format("fourth-order", "overflow"))

@@ -24,6 +24,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -90,32 +91,34 @@ class PowerReport:
 
 def rep_seed(base_seed: int, r: int) -> int:
     """Seed for replication r (1-based): ``base_seed XOR r``."""
-    return base_seed ^ r
+    return _check_count("base_seed", base_seed) ^ _check_count("r", r, 1)
 
 
-# Replications simulated per call of simulate_with_change.  More rows share
-# each interpreted time step, but every row adds burn_in + n doubles to the
-# chunk's buffers; on the T1 + T3 cells throughput stops rising at 64 (about
-# 1.3x that of 32, level with 128), while peak RSS still grows with it.
+# Replications simulated per call of simulate_with_change, and tested per
+# call of cssm_test.  More rows share each interpreted time step, but every
+# row adds burn_in + n doubles to the chunk's buffers; on the T1 + T3 cells
+# throughput stops rising at 64 (about 1.3x that of 32, level with 128),
+# while peak RSS still grows with it.
 _CHUNK = 64
 
 _FAILURES = (ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _simulate_chunk(scenario: Scenario, seeds: list[int]):
-    """The chunk's paths, one per seed; None for a path that failed to simulate."""
+def _each_row(call, rows):
+    """``call(rows)`` on the whole chunk; if that raises, ``call([row])[0]`` on
+    each row alone, keeping the rows that pass, so each failing replication
+    counts once."""
     try:
-        return simulate_with_change(scenario.change, scenario.n, seeds)
+        return call(rows)
     except _FAILURES:
         pass
-    # Simulate one at a time, so each failing replication counts once.
-    paths = []
-    for seed in seeds:
+    kept = []
+    for row in rows:
         try:
-            paths.append(simulate_with_change(scenario.change, scenario.n, seed))
+            kept.append(call([row])[0])
         except _FAILURES:
-            paths.append(None)
-    return paths
+            pass
+    return kept
 
 
 def run_scenario(scenario: Scenario, workers: int = 1, *,
@@ -124,11 +127,13 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
 
     Replications run on the calling thread in chunks of ``_CHUNK``: one
     :func:`simulate_with_change` call simulates a chunk's paths, each from
-    its replication's own seed (:func:`rep_seed`), and each path is then
-    tested alone by :func:`cssm_test`.  A path does not depend on the chunk
-    it was simulated in, so the report is a pure function of the scenario.
-    The critical value is resolved once up front from the built-in table
-    unless ``critical_value`` is given, and checked before any replication.
+    its replication's own seed (:func:`rep_seed`), and one :func:`cssm_test`
+    call tests the chunk's stack of paths.  If either call fails, the
+    chunk's replications are run one by one, and each that fails counts
+    once.  A path and its test do not depend on the chunk, so the report is
+    a pure function of the scenario.  The critical value is resolved once up
+    front from the built-in table unless ``critical_value`` is given, and
+    checked before any replication.
 
     ``workers`` is deprecated and ignored: a thread pool over the Python
     simulators only made runs slower.  Any value other than 1 raises a
@@ -139,6 +144,9 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
                       "replications always run serially",
                       DeprecationWarning, stacklevel=2)
     critical_value = _critval._check_critical_value(critical_value, scenario.L, scenario.alpha)
+    simulate = partial(simulate_with_change, scenario.change, scenario.n)
+    test = partial(cssm_test, L=scenario.L, beta=scenario.beta, alpha=scenario.alpha,
+                   critical_value=critical_value)
     start = time.perf_counter()
     failures = 0
     reject_locs = []
@@ -146,20 +154,11 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
     for first in range(1, reps + 1, _CHUNK):
         seeds = [rep_seed(scenario.seed, r)
                  for r in range(first, min(first + _CHUNK, reps + 1))]
-        for series in _simulate_chunk(scenario, seeds):
-            if series is None:
-                failures += 1
-                continue
-            try:
-                result = cssm_test(
-                    series, scenario.L, scenario.beta, scenario.alpha,
-                    critical_value=critical_value,
-                )
-            except _FAILURES:
-                failures += 1
-                continue
-            if result.reject:
-                reject_locs.append(result.change_index)
+        paths = _each_row(simulate, seeds)
+        results = _each_row(test, paths) if len(paths) else []
+        failures += len(seeds) - len(results)
+        reject_locs += [result.change_index for result in results if result.reject]
+        del paths, results  # free this chunk's arrays before the next is simulated
 
     completed = scenario.replications - failures
     rejections = len(reject_locs)

@@ -26,6 +26,18 @@ def autocov_reference(x, h: int) -> float:
     return total / n
 
 
+def prefix_autocovs_reference(values: np.ndarray, L: int) -> np.ndarray:
+    """``cssm.autocov.prefix_autocovs`` by one running sum per lag, as it was computed
+    before one cumsum of the end-indexed products served every lag."""
+    n = values.size
+    out = np.empty((n - L, L + 1))
+    k = np.arange(L + 1, n + 1, dtype=np.float64)
+    for h in range(L + 1):
+        csum = np.cumsum(values[: n - h] * values[h:])
+        out[:, h] = csum[L - h:] / k
+    return out
+
+
 def sigma_bar_reference(x, h: int, k: int, lag: int) -> float:
     """Literal nested-loop version of the displacement covariance term.
 

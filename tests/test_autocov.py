@@ -9,7 +9,7 @@ from cssm.autocov import TimeSeries, _check_count, as_timeseries, prefix_autocov
 from cssm.cusum import cssm_test
 from cssm.longrun import CovMatrix, bartlett_linear
 
-from oracles import autocov_reference
+from oracles import autocov_reference, prefix_autocovs_reference
 
 series_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False),
@@ -184,6 +184,18 @@ class TestPrefixAutocovs:
             assert len(out) == n - L
             direct = [autocov_reference(x, h) for h in range(L + 1)]
             np.testing.assert_allclose(out[-1], direct, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    @pytest.mark.parametrize("n", [4, 60, 1000, 100_000])
+    def test_one_cumsum_matches_one_cumsum_per_lag(self, L, n):
+        x = np.random.default_rng(n + L).standard_normal(n)
+        want = prefix_autocovs_reference(x, L)
+        assert np.array_equal(prefix_autocovs(x, L), want)
+        stack = np.stack([x, -2.0 * x, np.zeros(n)])
+        got = prefix_autocovs(stack, L)
+        assert got.shape == (3, n - L, L + 1) and not got.flags.writeable
+        for row, got_row in zip(stack, got):
+            assert np.array_equal(got_row, prefix_autocovs_reference(row, L))
 
     def test_every_prefix_matches_direct(self):
         rng = np.random.default_rng(11)

@@ -10,7 +10,7 @@ from cssm import cusum
 from cssm.autocov import prefix_autocovs
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
-from cssm.longrun import CovMatrix, estimate_longrun_cov, sigma_bar
+from cssm.longrun import CovMatrix, _min_usable_n, estimate_longrun_cov, sigma_bar
 from cssm.mc import rep_seed
 from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 
@@ -324,3 +324,68 @@ class TestCssmTest:
         res = cssm_test(x, 1)
         assert res.reject
         assert abs(res.change_index - 500) <= 60
+
+
+FAMILIES = {"arma11": ModelSpec.arma11(0.2, 0.1), "ma2": ModelSpec.ma2(0.1, 0.2),
+            "product2dep": ModelSpec.product2dep(0.0, 1.0),
+            "garch11": ModelSpec.garch11(0.5, 0.1, 0.2)}
+
+
+class TestStacks:
+    """A stack of series is tested, weighted and rooted as a loop over its rows would be."""
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    @pytest.mark.parametrize("size", ["minimum", 60, 500, 1000])
+    def test_cssm_test_of_a_stack_is_the_test_of_each_row(self, family, L, size):
+        n = _min_usable_n(L, 0.3) if size == "minimum" else size
+        # rows of ordinary, tiny and huge scale; the simulator's stack is a transposed view
+        X = simulate(FAMILIES[family], n, list(range(1, 7))) * np.array([[1.0], [1e-200],
+                                                                          [1e200], [3.0],
+                                                                          [0.5], [1.0]])
+        got = cssm_test(X, L, critical_value=2.5)
+        assert isinstance(got, list) and len(got) == len(X)
+        for row, res in zip(X, got):
+            want = cssm_test(row, L, critical_value=2.5)
+            assert res == want
+            assert np.array_equal(res.path.values, want.path.values)
+            assert res.path.values.tobytes() == want.path.values.tobytes()
+            assert not res.path.values.flags.writeable
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    def test_cusum_path_and_inv_sqrt_of_a_stack_loop_over_the_rows(self, L):
+        X = simulate(FAMILIES["garch11"], 200, [4, 5, 6])
+        covs = [estimate_longrun_cov(x, L) for x in X]
+        stack = CovMatrix(np.array([c.entries for c in covs]), L)
+        roots = inv_sqrt(stack)
+        assert roots.shape == (3, L + 1, L + 1)
+        for root, c in zip(roots, covs):
+            assert root.tobytes() == inv_sqrt(c).tobytes()
+        paths = cusum_path(X, stack, L)
+        assert paths.values.shape == (3, 200 - L - 1) and not paths.values.flags.writeable
+        shared = cusum_path(X, covs[0], L)  # one matrix weights every row
+        for x, c, vals, vals0 in zip(X, covs, paths.values, shared.values):
+            assert vals.tobytes() == cusum_path(x, c, L).values.tobytes()
+            assert vals0.tobytes() == cusum_path(x, covs[0], L).values.tobytes()
+
+    def test_stack_checks(self):
+        X = np.random.default_rng(9).standard_normal((3, 50))
+        with pytest.raises(ValueError, match="2 covariance matrices for 3 series"):
+            cusum_path(X, np.stack([np.eye(2)] * 2), 1)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            CovMatrix(np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]]), 1)
+        with pytest.raises(ValueError, match=r"entries must be 2x2 for L=1"):
+            CovMatrix(np.ones((1, 1, 2, 2)), 1)
+        with pytest.raises(ValueError, match="positive definite"):
+            inv_sqrt(np.stack([np.eye(2), np.zeros((2, 2))]))
+        bad = X.copy()
+        bad[1, 7] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            cssm_test(bad, 1)
+        with pytest.raises(ValueError, match="at least one observation"):
+            cssm_test(np.empty((0, 50)), 1)
+        with pytest.raises(ValueError, match="must be real"):
+            cssm_test(X * 1j, 1)
+        # an integer stack is converted, not read in place
+        ints = np.arange(1, 61).reshape(2, 30) % 7
+        assert cssm_test(ints, 1) == [cssm_test(row, 1) for row in ints]

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cssm import mc
+from cssm import cusum, mc
 from cssm.critval import DEFAULT_ALPHA
-from cssm.cusum import cssm_test
+from cssm.cusum import cssm_test, cusum_path
 from cssm.longrun import DEFAULT_BETA
 from cssm.mc import (
     TABLE_IDS,
@@ -43,6 +43,16 @@ class TestRepSeed:
         assert rep_seed(12, 1) == 13
         assert rep_seed(12, 12) == 0
         assert len({rep_seed(1 << 21, r) for r in range(1, 1001)}) == 1000
+
+    def test_small_numpy_integers_do_not_overflow(self):
+        assert rep_seed(np.uint8(5), 256) == 261
+        assert type(rep_seed(np.uint8(5), np.int8(3))) is int
+
+    @pytest.mark.parametrize("base_seed, r, name", [(-3, 1, "base_seed"), (5, -1, "r"),
+                                                    (5, 0, "r"), (2.0, 1, "base_seed")])
+    def test_rejects_a_bad_seed_or_replication(self, base_seed, r, name):
+        with pytest.raises(ValueError, match=name):
+            rep_seed(base_seed, r)
 
 
 class TestScenario:
@@ -198,19 +208,53 @@ class TestChunkedRunScenario:
         rep = run_scenario(scenario)
         assert (rep.failures, rep.replications) == (1, 69)
 
-    def test_failed_test_counts_once(self, monkeypatch):
+    @staticmethod
+    def _fail_on_row(monkeypatch, scenario, r):
+        """Make mc's cssm_test raise on any input that holds replication r's path."""
+        bad = mc.simulate_with_change(scenario.change, scenario.n, rep_seed(scenario.seed, r))
         calls = []
 
-        def flaky(series, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 37:
+        def flaky(paths, *args, **kwargs):
+            calls.append(len(paths))
+            if any(np.array_equal(row, bad.values) for row in paths):
                 raise ValueError("injected")
-            return cssm_test(series, *args, **kwargs)
+            return cssm_test(paths, *args, **kwargs)
 
         monkeypatch.setattr(mc, "cssm_test", flaky)
-        rep = run_scenario(arma_scenario(reps=70))
-        assert len(calls) == 70
+        return calls
+
+    def test_failed_test_counts_once(self, monkeypatch):
+        scenario = arma_scenario(reps=70)
+        calls = self._fail_on_row(monkeypatch, scenario, 37)
+        rep = run_scenario(scenario)
+        # the first chunk fails as a whole and is re-tested row by row
+        assert calls == [mc._CHUNK] + [1] * mc._CHUNK + [70 - mc._CHUNK]
         assert (rep.failures, rep.replications) == (1, 69)
+
+    def test_failed_test_leaves_the_other_rows_of_its_chunk_alone(self, monkeypatch):
+        scenario = arma_scenario(reps=70, after=ModelSpec.arma11(0.6, 0.7))
+        results = [cssm_test(mc.simulate_with_change(scenario.change, scenario.n,
+                                                     rep_seed(scenario.seed, r)), 1)
+                   for r in range(1, 71)]
+        kept = [res for r, res in enumerate(results, 1) if r != 37]
+        locs = [res.change_index for res in kept if res.reject]
+        assert 0 < len(locs) < 69
+        self._fail_on_row(monkeypatch, scenario, 37)
+        rep = run_scenario(scenario)
+        assert (rep.rejections, rep.failures, rep.mean_change_index) == (len(locs), 1,
+                                                                         np.mean(locs))
+
+    def test_one_cusum_path_call_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counted(x, C, L):
+            calls.append(len(x))
+            return cusum_path(x, C, L)
+
+        monkeypatch.setattr(cusum, "cusum_path", counted)
+        rep = run_scenario(arma_scenario(reps=70))
+        assert calls == [mc._CHUNK, 70 - mc._CHUNK]
+        assert rep.replications == 70
 
 
 class TestTableGrids:
