@@ -42,30 +42,41 @@ def _store_counts(record, **lows: int) -> None:
         object.__setattr__(record, name, _check_count(name, getattr(record, name), low))
 
 
-def _real_copy(x, what: str) -> np.ndarray:
-    """A float64 copy of ``x``; complex input raises instead of losing its imaginary part."""
+def _checked_array(x, what: str, forms: dict[int, str] | None = None, *,
+                   item: str = "value", copy: bool = True) -> np.ndarray:
+    """``x`` as float64 if it is real, of a dimension in ``forms``, nonempty and finite.
+
+    Else a ValueError naming ``what`` and, for a wrong ndim, each allowed one's name in
+    ``forms``: the one rule for array arguments.  Complex input is never cast; with
+    ``copy`` False a float64 ``x`` is returned itself.
+    """
     if np.iscomplexobj(x):
         raise ValueError(f"{what} must be real, got complex values")
     try:
-        return np.array(x, dtype=np.float64, copy=True)
+        arr = np.array(x, dtype=np.float64, copy=copy or None)
     except TypeError as exc:  # an object array holding a complex number, say
         raise ValueError(f"{what} must be real: {exc}") from None
+    if forms is not None and arr.ndim not in forms:
+        raise ValueError(f"{what} must be {' or '.join(forms.values())}, got shape {arr.shape}")
+    if arr.size < 1:
+        raise ValueError(f"{what} must contain at least one {item}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite, got non-finite values (NaN or infinite)")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Immutable one-dimensional series of finite real observations."""
+    """Immutable one-dimensional series of finite real observations.
+
+    ``values`` is kept as a read-only float64 copy; an empty, complex or non-finite
+    one raises ValueError.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _real_copy(self.values, "series")
-        if arr.ndim != 1:
-            raise ValueError(f"series must be one-dimensional, got shape {arr.shape}")
-        if arr.size < 1:
-            raise ValueError("series must contain at least one observation")
-        if not np.isfinite(arr).all():
-            raise ValueError("series contains NaN or infinite values")
+        arr = _checked_array(self.values, "series", {1: "one-dimensional"}, item="observation")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -87,18 +98,14 @@ def as_timeseries(x) -> TimeSeries:
 def _as_stack(x) -> tuple[np.ndarray, bool]:
     """``x`` as an (R, n) float64 stack of series, and whether it was one series.
 
-    A :class:`TimeSeries` or any input that is not two-dimensional is checked as
-    one series and becomes the stack of one; a 2-D array gets the same checks at
-    once, and a float64 one is read in place, not copied.
+    A :class:`TimeSeries` or a 1-D input is checked as one series and becomes the
+    stack of one; a 2-D array gets the same checks at once, and a float64 one is
+    read in place, not copied.  Any other shape raises a ValueError naming both.
     """
-    if isinstance(x, TimeSeries) or np.ndim(x) != 2:
+    if isinstance(x, TimeSeries) or np.ndim(x) == 1:
         return as_timeseries(x).values[None], True
-    arr = x if isinstance(x, np.ndarray) and x.dtype == np.float64 else _real_copy(x, "series")
-    if arr.size < 1:
-        raise ValueError("series must contain at least one observation")
-    if not np.isfinite(arr).all():
-        raise ValueError("series contains NaN or infinite values")
-    return arr, False
+    forms = {1: "one series (1-D)", 2: "a stack of series (2-D)"}
+    return _checked_array(x, "series", forms, item="observation", copy=False), False
 
 
 def _prefix_autocovs(values: np.ndarray, L: int) -> np.ndarray:

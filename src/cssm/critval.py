@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autocov import _check_count, _store_counts
+from .autocov import _check_count, _checked_array, _store_counts
 
 # Replications are generated in fixed-size batches, each drawing from its own
 # spawned stream, so results depend only on (L, grid, replications, seed) and
@@ -166,13 +166,12 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
 
 
 def sup_quantile(sups, alpha: float) -> float:
-    """Empirical (1-alpha)-quantile: order statistic ceil((1-alpha)*R) of R values."""
-    arr = np.asarray(sups, dtype=np.float64).ravel()
+    """Empirical (1-alpha)-quantile: order statistic ceil((1-alpha)*R) of R values.
+
+    The R >= 1 values must be real and finite; ``sups`` is read, not copied, if float64.
+    """
+    arr = _checked_array(sups, "suprema", copy=False).ravel()
     r = arr.size
-    if r < 1:
-        raise ValueError("need at least one supremum")
-    if not np.isfinite(arr).all():
-        raise ValueError("suprema must be finite")
     _check_alpha(alpha)
     rank = min(max(math.ceil((1.0 - alpha) * r), 1), r)
     return float(np.partition(arr, rank - 1)[rank - 1])

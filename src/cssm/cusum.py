@@ -16,9 +16,7 @@ import numpy as np
 from . import critval as _critval
 from .autocov import _TINY, _as_stack, _check_count, _prefix_autocovs
 from .critval import DEFAULT_ALPHA
-from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
-
-_BLOCK_BYTES = 1 << 18  # bytes of prefix sums per block of a stack's rows; fits a per-core L2
+from .longrun import _BLOCK_BYTES, DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,18 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _RESCALE, _TINY, _check_count, _real_copy, _store_counts, as_timeseries
+from .autocov import _RESCALE, _TINY, _check_count, _checked_array, _store_counts, as_timeseries
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
-_BLOCK_BYTES = 1 << 18  # bytes of P per row block of the y1 sums; fits a per-core L2
+_BLOCK_BYTES = 1 << 18  # bytes per row block here and in the CUSUM stage; fits a per-core L2
 
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Symmetric covariance matrix of the lag-0..L autocovariance estimators.
 
-    ``entries`` may carry a leading axis: a stack of matrices, one per series
-    of a stack, which :func:`cssm.cusum.cusum_path` weights row by row.
+    ``entries``, kept as a read-only float64 copy, must be real, finite, (L+1) x (L+1)
+    and exactly symmetric, or a nonempty stack of such matrices on a leading axis, one
+    per series of a stack, which :func:`cssm.cusum.cusum_path` weights row by row.
     ``eps_floor`` records the eigenvalue floor applied by
     :func:`estimate_longrun_cov`; it is None for closed-form matrices.
     """
@@ -46,11 +47,9 @@ class CovMatrix:
     def __post_init__(self) -> None:
         _store_counts(self, L=0)
         d = self.L + 1
-        arr = _real_copy(self.entries, "covariance matrix")
+        arr = _checked_array(self.entries, "covariance matrix")
         if arr.ndim not in (2, 3) or arr.shape[-2:] != (d, d):
             raise ValueError(f"entries must be {d}x{d} for L={self.L}, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("covariance matrix has non-finite entries")
         if not (arr == np.swapaxes(arr, -1, -2)).all():  # the shape is square, the entries finite
             raise ValueError("covariance matrix must be exactly symmetric")
         arr.setflags(write=False)
@@ -235,11 +234,7 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
     ``R(d) = sum_l g(l) g(l+d)`` of the symmetric g(-M..M) at O(L (M+L)) cost.
     It is exactly symmetric and carries the fourth power of the innovation scale.
     """
-    g = _real_copy(gamma, "gamma").ravel()
-    if g.size < 1:
-        raise ValueError("gamma must contain at least the lag-0 value")
-    if not np.isfinite(g).all():
-        raise ValueError("gamma contains non-finite values")
+    g = _checked_array(gamma, "gamma", copy=False).ravel()
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     L = _check_count("L", L)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autocov import TimeSeries, _check_count, _store_counts
+from .autocov import TimeSeries, _check_count, _checked_array, _store_counts
 
 DEFAULT_BURN_IN = 500
 
@@ -227,8 +227,7 @@ def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
         paths = _SIMULATORS[before.family](params, seeds)[burn_in:].T
     if single:
         return TimeSeries(paths[0])
-    if not np.isfinite(paths).all():
-        raise ValueError("a simulated path contains NaN or infinite values")
+    paths = _checked_array(paths, "simulated paths", copy=False)
     paths.setflags(write=False)
     return paths
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cssm.autocov import TimeSeries, _check_count, as_timeseries, prefix_autocovs
+from cssm.critval import sup_quantile
 from cssm.cusum import cssm_test
 from cssm.longrun import CovMatrix, bartlett_linear
 
@@ -73,9 +74,13 @@ class TestTimeSeries:
         x = np.random.default_rng(3).standard_normal(300) + 1j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (TimeSeries, as_timeseries, lambda v: prefix_autocovs(v, 1),
-                         lambda v: cssm_test(v, 1, critical_value=2.408)):
-                with pytest.raises(ValueError, match="series must be real"):
+            for call, what in ((TimeSeries, "series"), (as_timeseries, "series"),
+                               (lambda v: prefix_autocovs(v, 1), "series"),
+                               (lambda v: cssm_test(v, 1, critical_value=2.408), "series"),
+                               (lambda v: sup_quantile(v, 0.05), "suprema"),
+                               (lambda v: bartlett_linear(v, 3.0, 1), "gamma"),
+                               (lambda v: CovMatrix(np.diag(v[:2]), 1), "covariance matrix")):
+                with pytest.raises(ValueError, match=f"{what} must be real"):
                     call(x)
             with pytest.raises(ValueError, match="series must be real"):
                 TimeSeries([1.0, 2j])

@@ -17,8 +17,9 @@ from cssm.models import ChangeSpec, ModelSpec, simulate, simulate_with_change
 from oracles import cusum_sq_l0_reference, longrun_matrix_reference
 
 # each fails a CovMatrix check (asymmetric: eigh would read only the lower
-# triangle; complex: conversion would drop the imaginary part), with its
-# message rather than a LinAlgError, IndexError or ComplexWarning
+# triangle; complex: conversion would drop the imaginary part; empty stack:
+# the smallest eigenvalue of no matrix has no value), with its message rather
+# than a LinAlgError, IndexError, ComplexWarning or numpy's zero-size error
 NOT_A_COV_MATRIX = [
     pytest.param([[1.0, 5.0], [0.0, 1.0]], id="asymmetric"),
     pytest.param(np.ones((2, 3)), id="2x3"),
@@ -26,9 +27,10 @@ NOT_A_COV_MATRIX = [
     pytest.param(np.zeros((0, 0)), id="0x0"),
     pytest.param(1.0, id="scalar"),
     pytest.param(np.eye(2) * (1 + 1j), id="complex"),
+    pytest.param(np.zeros((0, 2, 2)), id="empty stack"),
 ]
 COV_MATRIX_CHECKS = (r"exactly symmetric|entries must be \dx\d for L=\d|L must be >= 0"
-                     r"|must be real")
+                     r"|must be real|must contain at least one value")
 
 
 def identity_cov(L: int) -> CovMatrix:
@@ -384,6 +386,12 @@ class TestStacks:
             cssm_test(bad, 1)
         with pytest.raises(ValueError, match="at least one observation"):
             cssm_test(np.empty((0, 50)), 1)
+        cube = np.zeros((2, 2, 400))
+        for call in (lambda v: cssm_test(v, 1), lambda v: cusum_path(v, np.eye(2), 1),
+                     lambda v: prefix_autocovs(v, 1)):
+            with pytest.raises(ValueError, match=r"series must be one series \(1-D\) or a "
+                                                 r"stack of series \(2-D\), got shape \(2, 2, 400\)"):
+                call(cube)
         with pytest.raises(ValueError, match="must be real"):
             cssm_test(X * 1j, 1)
         # an integer stack is converted, not read in place
