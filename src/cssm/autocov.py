@@ -20,6 +20,7 @@ import numpy as np
 _RESCALE = ("{} products of the series {} double precision; "
             "rescale the series (e.g. divide it by its standard deviation)")
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
+_BLOCK_BYTES = 1 << 18  # bytes per row block of every blocked kernel; fits a per-core L2
 
 
 def _check_count(name: str, value, low: int = 0) -> int:
@@ -50,12 +51,12 @@ def _checked_array(x, what: str, forms: dict[int, str] | None = None, *,
     ``forms``: the one rule for array arguments.  Complex input is never cast; with
     ``copy`` False a float64 ``x`` is returned itself.
     """
-    if np.iscomplexobj(x):
-        raise ValueError(f"{what} must be real, got complex values")
-    try:
-        arr = np.array(x, dtype=np.float64, copy=copy or None)
-    except TypeError as exc:  # an object array holding a complex number, say
+    try:  # numpy refuses a ragged sequence, a string or an object holding a complex number
+        arr = None if np.iscomplexobj(x) else np.array(x, dtype=np.float64, copy=copy or None)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be real: {exc}") from None
+    if arr is None:
+        raise ValueError(f"{what} must be real, got complex values")
     if forms is not None and arr.ndim not in forms:
         raise ValueError(f"{what} must be {' or '.join(forms.values())}, got shape {arr.shape}")
     if arr.size < 1:
@@ -80,10 +81,6 @@ class TimeSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n(self) -> int:
-        return self.values.size
-
     def __len__(self) -> int:
         return self.values.size
 
@@ -98,14 +95,16 @@ def as_timeseries(x) -> TimeSeries:
 def _as_stack(x) -> tuple[np.ndarray, bool]:
     """``x`` as an (R, n) float64 stack of series, and whether it was one series.
 
-    A :class:`TimeSeries` or a 1-D input is checked as one series and becomes the
-    stack of one; a 2-D array gets the same checks at once, and a float64 one is
-    read in place, not copied.  Any other shape raises a ValueError naming both.
+    A 2-D array is checked as a whole and, if float64, read in place, not copied; a
+    :class:`TimeSeries` or a 1-D input becomes the stack of one through
+    :func:`as_timeseries`.  Any other shape raises a ValueError naming both.
     """
-    if isinstance(x, TimeSeries) or np.ndim(x) == 1:
-        return as_timeseries(x).values[None], True
-    forms = {1: "one series (1-D)", 2: "a stack of series (2-D)"}
-    return _checked_array(x, "series", forms, item="observation", copy=False), False
+    if not isinstance(x, TimeSeries):
+        forms = {1: "one series (1-D)", 2: "a stack of series (2-D)"}
+        x = _checked_array(x, "series", forms, item="observation", copy=False)
+        if x.ndim == 2:
+            return x, False
+    return as_timeseries(x).values[None], True
 
 
 def _prefix_autocovs(values: np.ndarray, L: int) -> np.ndarray:

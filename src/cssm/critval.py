@@ -8,7 +8,7 @@ else on demand: bridges are built on a uniform grid from Gaussian random
 walks via ``B(t) = W(t) - t W(1)``, and the empirical quantile of the
 per-replication suprema is returned.  Replications run in fixed batches
 of 512, each from its own spawned stream, on up to two threads by
-default, each in blocks of rows that fill a buffer of about 1 MB; the
+default, each in blocks of rows that fill the package's 256 KB block; the
 output depends only on (L, grid, replications, seed), never on the
 thread count or the block size.
 
@@ -30,18 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .autocov import _check_count, _checked_array, _store_counts
+from .autocov import _BLOCK_BYTES, _check_count, _checked_array, _store_counts
 
 # Replications are generated in fixed-size batches, each drawing from its own
 # spawned stream, so results depend only on (L, grid, replications, seed) and
 # never on scheduling or worker count.
 _BATCH_SIZE = 512
-
-# A batch is simulated in blocks of rows whose buffer takes about this many
-# bytes (at least one row), so it stays in a core's cache for any L and grid;
-# smaller blocks cost more per call.  Draws continue one stream across blocks
-# and every step acts within a row, so the block size never changes the output.
-_BLOCK_BYTES = 1 << 20
 
 # Default thread cap.  The affinity mask that _usable_cpus reads cannot see
 # a cgroup CPU quota, so on a container it may count CPUs the process will
@@ -93,38 +87,36 @@ def _check_critical_value(c: float | None, L: int, alpha: float) -> float:
 
 
 def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
-                  grid_points: int, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+                  grid_points: int, out: np.ndarray | None = None) -> np.ndarray:
     """(reps, n_bridges, grid_points) bridge values on t_i = i/m, i = 1..m.
 
     Each bridge is W(t) - t W(1) with W a Gaussian random walk of step
     variance 1/m, so the endpoint value is exactly zero.  Draw, scaling,
-    cumulative sum and endpoint correction all work in one buffer,
-    ``out`` if given, with a (reps, m) ``scratch`` for the correction.
+    cumulative sum and endpoint correction all write to one buffer,
+    ``out`` if given.
     """
     m = grid_points
     buf = np.empty((reps, n_bridges, m)) if out is None else out
-    tmp = np.empty((reps, m)) if scratch is None else scratch
     rng.standard_normal(out=buf)
     buf *= 1.0 / math.sqrt(m)
     np.cumsum(buf, axis=2, out=buf)
-    t = np.arange(1, m + 1) / m
-    for j in range(n_bridges):
-        np.multiply(t, buf[:, j, -1:], out=tmp)
-        buf[:, j] -= tmp
+    buf -= np.arange(1, m + 1) / m * buf[:, :, -1:]
     return buf
 
 
 def _sup_batch(rng: np.random.Generator, reps: int, L: int, grid_points: int) -> np.ndarray:
-    """Suprema of one batch, simulated a block of rows at a time."""
+    """Suprema of one batch, simulated a block of rows at a time.
+
+    Draws continue one stream across blocks and every step acts within a row,
+    so the block height never changes the output.
+    """
     rows = min(reps, max(1, _BLOCK_BYTES // ((L + 1) * grid_points * 8)))
-    buf, scratch = np.empty((rows, L + 1, grid_points)), np.empty((rows, grid_points))
+    buf = np.empty((rows, L + 1, grid_points))
     sups = np.empty(reps)
     for start in range(0, reps, rows):
         k = min(rows, reps - start)
-        paths = _bridge_paths(rng, k, L + 1, grid_points, buf[:k], scratch[:k])
-        square_sum = np.einsum("rjm,rjm->rm", paths, paths, out=scratch[:k])
-        square_sum.max(axis=1, out=sups[start:start + k])
+        paths = _bridge_paths(rng, k, L + 1, grid_points, buf[:k])
+        np.einsum("rjm,rjm->rm", paths, paths).max(axis=1, out=sups[start:start + k])
     return sups
 
 
@@ -144,18 +136,15 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
     batch count); it never changes the output.
     """
     L = _check_count("L", L)
-    if workers is not None:
-        workers = _check_count("workers", workers, 1)
     reps = cfg.replications
     n_batches = (reps + _BATCH_SIZE - 1) // _BATCH_SIZE
-    sizes = [min(_BATCH_SIZE, reps - b * _BATCH_SIZE) for b in range(n_batches)]
-    if workers is None:
-        workers = min(_usable_cpus(), _DEFAULT_WORKERS)
-    workers = min(workers, n_batches)
+    workers = min(min(_usable_cpus(), _DEFAULT_WORKERS) if workers is None
+                  else _check_count("workers", workers, 1), n_batches)
 
     def run(b: int) -> np.ndarray:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
-        return _sup_batch(np.random.default_rng(seq), sizes[b], L, cfg.grid_points)
+        size = min(_BATCH_SIZE, reps - b * _BATCH_SIZE)
+        return _sup_batch(np.random.default_rng(seq), size, L, cfg.grid_points)
 
     if workers == 1:
         parts = [run(b) for b in range(n_batches)]
@@ -168,9 +157,10 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
 def sup_quantile(sups, alpha: float) -> float:
     """Empirical (1-alpha)-quantile: order statistic ceil((1-alpha)*R) of R values.
 
-    The R >= 1 values must be real and finite; ``sups`` is read, not copied, if float64.
+    The R >= 1 values, scalar or 1-D, must be real and finite; float64 ``sups`` is not copied.
     """
-    arr = _checked_array(sups, "suprema", copy=False).ravel()
+    arr = np.atleast_1d(_checked_array(sups, "suprema", {0: "a scalar", 1: "one-dimensional"},
+                                       copy=False))
     r = arr.size
     _check_alpha(alpha)
     rank = min(max(math.ceil((1.0 - alpha) * r), 1), r)
@@ -182,27 +172,20 @@ def _cache_lookup(path, key: tuple[int, float, int, int, int]) -> float | None:
     if not p.exists():
         return None
     for line in p.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            continue
-        try:
-            rec = (int(parts[0]), float(parts[1]), int(parts[2]),
-                   int(parts[3]), int(parts[4]))
-            value = float(parts[5])
+        try:  # a blank, comment, short, long or unparsable line is skipped
+            L, alpha, grid, reps, seed, value = line.split()
+            rec = (int(L), float(alpha), int(grid), int(reps), int(seed))
+            c = float(value)
         except ValueError:
             continue
         if rec == key:
-            return value
+            return c
     return None
 
 
 def _cache_append(path, key: tuple[int, float, int, int, int], c: float) -> None:
     p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
+    p.parent.mkdir(parents=True, exist_ok=True)
     line = f"{key[0]} {key[1]:.17g} {key[2]} {key[3]} {key[4]} {c:.17g}\n"
     with _cache_lock:
         with open(p, "a", encoding="ascii") as fh:

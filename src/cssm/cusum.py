@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import _TINY, _as_stack, _check_count, _prefix_autocovs
+from .autocov import (_BLOCK_BYTES, _TINY, _as_stack, _check_count, _checked_array,
+                      _prefix_autocovs)
 from .critval import DEFAULT_ALPHA
-from .longrun import _BLOCK_BYTES, DEFAULT_BETA, CovMatrix, estimate_longrun_cov
+from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +65,8 @@ def inv_sqrt(C) -> np.ndarray:
     from one ``eigh``.
     """
     if not isinstance(C, CovMatrix):
-        C = CovMatrix(C, L=np.atleast_1d(C).shape[-1] - 1)
+        C = np.atleast_1d(_checked_array(C, "covariance matrix", copy=False))
+        C = CovMatrix(C, L=C.shape[-1] - 1)
     eigvals, eigvecs = np.linalg.eigh(C.entries)
     low = eigvals[..., 0].min()
     if low <= 0.0:

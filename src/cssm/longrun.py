@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import _RESCALE, _TINY, _check_count, _checked_array, _store_counts, as_timeseries
+from .autocov import (_BLOCK_BYTES, _RESCALE, _TINY, _check_count, _checked_array,
+                      _store_counts, as_timeseries)
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
-_BLOCK_BYTES = 1 << 18  # bytes per row block here and in the CUSUM stage; fits a per-core L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +217,7 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
 
     Parameters
     ----------
-    gamma : array-like
+    gamma : scalar or 1-D array-like
         Autocovariance function at lags 0..M; treated as zero beyond M.
         Exact for MA(q) processes when M >= q; for other linear models
         pass gamma truncated where it is numerically negligible.
@@ -234,7 +234,8 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
     ``R(d) = sum_l g(l) g(l+d)`` of the symmetric g(-M..M) at O(L (M+L)) cost.
     It is exactly symmetric and carries the fourth power of the innovation scale.
     """
-    g = _checked_array(gamma, "gamma", copy=False).ravel()
+    g = np.atleast_1d(_checked_array(gamma, "gamma", {0: "a scalar", 1: "one-dimensional"},
+                                     copy=False))
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     L = _check_count("L", L)

@@ -53,6 +53,21 @@ class TestTimeSeries:
     def test_rejects_2d(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             TimeSeries(np.zeros((2, 2)))
+        # a matrix of lags or of suprema is refused, not flattened; a scalar is one value
+        with pytest.raises(ValueError, match=r"gamma must be a scalar or one-dimensional, "
+                                             r"got shape \(2, 2\)"):
+            bartlett_linear(np.eye(2), 3.0, 1)
+        with pytest.raises(ValueError, match=r"suprema must be a scalar or one-dimensional, "
+                                             r"got shape \(3, 3\)"):
+            sup_quantile(np.arange(9.0).reshape(3, 3), 0.05)
+        assert bartlett_linear(1.0, 3.0, 1).entries.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+        assert sup_quantile(2.5, 0.05) == 2.5
+
+    def test_rejects_unconvertible_input(self):
+        # numpy's own error would not name the argument
+        for bad in (["a"], [[1.0, 2.0], [3.0]]):
+            with pytest.raises(ValueError, match="series must be real: "):
+                TimeSeries(bad)
 
     def test_values_are_immutable(self):
         ts = TimeSeries([1.0, 2.0])

@@ -67,8 +67,8 @@ class TestMatchesReferenceKernel:
     def test_bridge_paths_into_reused_buffers_bitwise(self):
         # simulate_bridge_sup hands each batch slices of buffers that hold
         # the previous batch; nothing of it may leak into the result
-        buf, scratch = np.full((512, 3, 200), np.nan), np.full((512, 200), np.nan)
-        got = _bridge_paths(np.random.default_rng(5), 300, 3, 200, buf[:300], scratch[:300])
+        buf = np.full((512, 3, 200), np.nan)
+        got = _bridge_paths(np.random.default_rng(5), 300, 3, 200, buf[:300])
         want = bridge_paths_reference(np.random.default_rng(5), 300, 3, 200)
         assert got.tobytes() == want.tobytes()
 
@@ -262,8 +262,13 @@ class TestCriticalValue:
     def test_cache_read_from_foreign_process(self, tmp_path):
         # records written by another run are honored
         cache = tmp_path / "cache.txt"
-        # a 5-field line and a non-numeric field come first and are skipped
+        # blank, comment, 5- and 7-field lines and a non-numeric field come first
+        # and are skipped
         cache.write_text("# comment line\n"
+                         "\n"
+                         "   \t \n"
+                         "3 0.025 150 1200 77 1.0 2.0\n"
+                         "# 3 0.025 150 1200 77 1.0\n"
                          "3 0.025 150 1200 77\n"
                          "3 0.025 150 1200 77 oops\n"
                          "3 0.025 150 1200 77 9.125\n")

@@ -28,6 +28,7 @@ NOT_A_COV_MATRIX = [
     pytest.param(1.0, id="scalar"),
     pytest.param(np.eye(2) * (1 + 1j), id="complex"),
     pytest.param(np.zeros((0, 2, 2)), id="empty stack"),
+    pytest.param([[1.0, 0.0], [0.0]], id="ragged"),
 ]
 COV_MATRIX_CHECKS = (r"exactly symmetric|entries must be \dx\d for L=\d|L must be >= 0"
                      r"|must be real|must contain at least one value")
@@ -394,6 +395,10 @@ class TestStacks:
                 call(cube)
         with pytest.raises(ValueError, match="must be real"):
             cssm_test(X * 1j, 1)
+        for call in (lambda v: cssm_test(v, 1), lambda v: cusum_path(v, np.eye(2), 1),
+                     lambda v: prefix_autocovs(v, 1)):
+            with pytest.raises(ValueError, match="series must be real: "):
+                call([X[0], X[1, :30]])
         # an integer stack is converted, not read in place
         ints = np.arange(1, 61).reshape(2, 30) % 7
         assert cssm_test(ints, 1) == [cssm_test(row, 1) for row in ints]
