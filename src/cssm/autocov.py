@@ -12,6 +12,7 @@ null by construction).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -21,6 +22,12 @@ _RESCALE = ("{} products of the series {} double precision; "
             "rescale the series (e.g. divide it by its standard deviation)")
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 _BLOCK_BYTES = 1 << 18  # bytes per row block of every blocked kernel; fits a per-core L2
+_REALS = (float, int, np.floating, np.integer)  # concrete types: numbers.Real costs 15x
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` float64 values that fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def _check_count(name: str, value, low: int = 0) -> int:
@@ -35,6 +42,28 @@ def _check_count(name: str, value, low: int = 0) -> int:
     if count < low:
         raise ValueError(f"{name} must be >= {low}, got {count}")
     return count
+
+
+def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+                closed: bool = False) -> float:
+    """``value`` as a float if it is a finite real scalar in (low, high), or [low, high) if
+    ``closed``, else a ValueError naming ``name``: the one rule for real arguments.
+
+    Python and numpy reals pass; strings, None, complex numbers and arrays, 0-d ones
+    too, fail.  A lower bound with no upper one must be 0: the message says (non)negative."""
+    if not isinstance(value, _REALS):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the double range
+        v = math.inf
+    if not (math.isfinite(v) and (low <= v if closed else low < v) and v < high):
+        op = ">=" if closed else ">"
+        rule = (f" and in {'[' if closed else '('}{low:g}, {high:g})" if high < math.inf else
+                f" and {'nonnegative' if closed else 'positive'} ({name} {op} {low:g})"
+                if low > -math.inf else "")
+        raise ValueError(f"{name} must be finite{rule}, got {value}")
+    return v
 
 
 def _store_counts(record, **lows: int) -> None:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autocov import _BLOCK_BYTES, _check_count, _checked_array, _store_counts
+from .autocov import _block_rows, _check_count, _check_real, _checked_array, _store_counts
 
 # Replications are generated in fixed-size batches, each drawing from its own
 # spawned stream, so results depend only on (L, grid, replications, seed) and
@@ -72,18 +72,10 @@ class BridgeConfig:
 BUILTIN_TABLE: dict[tuple[int, float], float] = {(1, 0.05): 2.408}
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def _check_critical_value(c: float | None, L: int, alpha: float) -> float:
     """``c`` as a float, or the built-in quantile for (L, alpha) when it is None."""
-    if c is None:
-        c = critical_value(L, alpha)
-    if not 0.0 <= c < math.inf:  # a NaN threshold would never reject
-        raise ValueError(f"critical value must be finite and nonnegative, got {c}")
-    return float(c)
+    c = critical_value(L, alpha) if c is None else c
+    return _check_real("critical value", c, 0.0, closed=True)  # NaN would never reject
 
 
 def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
@@ -110,7 +102,7 @@ def _sup_batch(rng: np.random.Generator, reps: int, L: int, grid_points: int) ->
     Draws continue one stream across blocks and every step acts within a row,
     so the block height never changes the output.
     """
-    rows = min(reps, max(1, _BLOCK_BYTES // ((L + 1) * grid_points * 8)))
+    rows = min(reps, _block_rows((L + 1) * grid_points))
     buf = np.empty((rows, L + 1, grid_points))
     sups = np.empty(reps)
     for start in range(0, reps, rows):
@@ -162,7 +154,7 @@ def sup_quantile(sups, alpha: float) -> float:
     arr = np.atleast_1d(_checked_array(sups, "suprema", {0: "a scalar", 1: "one-dimensional"},
                                        copy=False))
     r = arr.size
-    _check_alpha(alpha)
+    alpha = _check_real("alpha", alpha, 0.0, 1.0)
     rank = min(max(math.ceil((1.0 - alpha) * r), 1), r)
     return float(np.partition(arr, rank - 1)[rank - 1])
 
@@ -201,8 +193,7 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
     cache file when ``cache_path`` is given.  Without one, every call with
     the same ``cfg`` simulates again.
     """
-    _check_alpha(alpha)
-    L = _check_count("L", L)
+    alpha, L = _check_real("alpha", alpha, 0.0, 1.0), _check_count("L", L)
     hit = BUILTIN_TABLE.get((L, alpha))
     if hit is not None:
         return hit
@@ -210,7 +201,7 @@ def critical_value(L: int, alpha: float, cfg: BridgeConfig | None = None,
         raise ValueError(f"no built-in critical value for (L={L}, alpha={alpha}); pass "
                          "critical_value(L, alpha, BridgeConfig(...)) to cssm_test or "
                          "run_scenario as critical_value=")
-    key = (L, float(alpha), cfg.grid_points, cfg.replications, cfg.seed)
+    key = (L, alpha, cfg.grid_points, cfg.replications, cfg.seed)
     if cache_path is not None:
         cached = _cache_lookup(cache_path, key)
         if cached is not None:

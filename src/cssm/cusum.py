@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import (_BLOCK_BYTES, _TINY, _as_stack, _check_count, _checked_array,
-                      _prefix_autocovs)
+from .autocov import (_TINY, _as_stack, _block_rows, _check_count, _check_real,
+                      _checked_array, _prefix_autocovs)
 from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
@@ -99,7 +99,7 @@ def cusum_path(x, C, L: int) -> CusumPath:
     if n < L + 2:
         raise ValueError(f"need n >= L + 2 for a nonempty path, got n={n}, L={L}")
     root = inv_sqrt(C)
-    rows = max(1, _BLOCK_BYTES // (8 * n * (L + 1)))
+    rows = _block_rows(n * (L + 1))
     paths = []
     # Each block makes its path and the k^2/n scale after its temporaries, as one series
     # always did: made up front, they changed which freed memory the allocator kept
@@ -148,7 +148,7 @@ def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPH
     Ties in the argmax resolve to the smallest k.  The result carries the
     path itself for plotting or export.
     """
-    _critval._check_alpha(alpha)
+    alpha = _check_real("alpha", alpha, 0.0, 1.0)
     critical_value = _critval._check_critical_value(critical_value, L, alpha)
     L = _check_count("L", L)
     values, single = _as_stack(x)

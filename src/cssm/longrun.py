@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocov import (_BLOCK_BYTES, _RESCALE, _TINY, _check_count, _checked_array,
+from .autocov import (_RESCALE, _TINY, _block_rows, _check_count, _check_real, _checked_array,
                       _store_counts, as_timeseries)
 
 DEFAULT_BETA = 0.3  # cutoff exponent of the displacement sum, h_n = floor(n**beta)
@@ -57,11 +57,9 @@ class CovMatrix:
 
 
 def truncation_lag(n: int, beta: float) -> int:
-    """Displacement cutoff ``floor(n**beta)`` clamped to [1, n-1]."""
-    n = _check_count("n", n, 2)
-    if not 0.0 < beta < 0.5:
-        raise ValueError(f"beta must be in (0, 0.5), got {beta}")
-    return min(max(int(math.floor(n ** beta)), 1), n - 1)
+    """Displacement cutoff ``floor(n**beta)`` clamped to [1, n-1]; ``beta`` in (0, 1/2)."""
+    n, beta = _check_count("n", n, 2), _check_real("beta", beta, 0.0, 0.5)
+    return min(max(math.floor(n ** beta), 1), n - 1)
 
 
 def _min_usable_n(L: int, beta: float) -> int:
@@ -71,14 +69,14 @@ def _min_usable_n(L: int, beta: float) -> int:
     return n
 
 
-def _check_usable_n(n: int, L: int, beta: float) -> tuple[int, int]:
-    """The checked ``(n, L)``; ValueError naming the smallest usable n unless h_n + L < n."""
-    n, L = _check_count("n", n), _check_count("L", L)
+def _check_usable_n(n: int, L: int, beta: float) -> tuple[int, int, float]:
+    """The checked ``(n, L, beta)``; ValueError naming the smallest usable n unless h_n + L < n."""
+    n, L, beta = _check_count("n", n), _check_count("L", L), _check_real("beta", beta, 0.0, 0.5)
     n_min = _min_usable_n(L, beta)
     if n < n_min:
         raise ValueError(f"insufficient data: n={n} with L={L}, beta={beta}; "
                          f"minimum usable n is {n_min}")
-    return n, L
+    return n, L, beta
 
 
 def sigma_bar(x, h: int, k: int, lag: int) -> float:
@@ -105,11 +103,6 @@ def sigma_bar(x, h: int, k: int, lag: int) -> float:
         raise ValueError(f"displacement {lag} leaves no complete products "
                          f"for (h={h}, k={k}, n={n})")
     return float(_longrun_terms(values, k, lag)[0][lag, h, k])
-
-
-def _block_rows(L: int) -> int:
-    """Rows of the float64 lagged-product array P, L + 1 columns wide, in one block."""
-    return max(1, _BLOCK_BYTES // (8 * (L + 1)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -154,7 +147,7 @@ def _longrun_terms(values: np.ndarray, L: int,
             P[:n - h, h] = values[:n - h] * values[h:]
         cut = P[n - L:].T @ (P[last] * edge)
         A = np.empty((h_n + 1, L + 1, L + 1))
-        rows = _block_rows(L)
+        rows = _block_rows(L + 1)  # of P
         for i0 in range(0, n, rows):  # every lag of one row block while it is in cache
             for lag in range(h_n + 1):
                 i1 = min(i0 + rows, n - lag)
@@ -203,7 +196,7 @@ def estimate_longrun_cov(x, L: int, beta: float = DEFAULT_BETA) -> CovMatrix:
         underflow, asking for the series to be rescaled.
     """
     values = as_timeseries(x).values
-    n, L = _check_usable_n(values.size, L, beta)
+    n, L, beta = _check_usable_n(values.size, L, beta)
     _, raw, floor = _longrun_terms(values, L, truncation_lag(n, beta))
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
@@ -236,9 +229,7 @@ def bartlett_linear(gamma, eta: float, L: int) -> CovMatrix:
     """
     g = np.atleast_1d(_checked_array(gamma, "gamma", {0: "a scalar", 1: "one-dimensional"},
                                      copy=False))
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    L = _check_count("L", L)
+    eta, L = _check_real("eta", eta, 0.0), _check_count("L", L)
     M = g.size - 1
     s = np.concatenate((g[:0:-1], g, np.zeros(2 * L)))  # gamma(-M..M), then zeros
     i, j = np.indices((L + 1, L + 1))

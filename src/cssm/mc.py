@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import critval as _critval
-from .autocov import _check_count, _store_counts
+from .autocov import _check_count, _check_real, _store_counts
 from .critval import DEFAULT_ALPHA, DEFAULT_SEED
 from .cusum import cssm_test
 from .longrun import DEFAULT_BETA, _check_usable_n
@@ -46,9 +46,9 @@ _SEED_STRIDE = 1 << 21
 class Scenario:
     """One replicated experiment: a change spec plus test settings.
 
-    The counts, ``alpha``, the cutoff exponent ``beta``, and whether ``n`` is
-    long enough for ``L`` and ``beta`` and for the break are checked here, so a
-    bad value fails at construction, not in every replication.
+    The counts, ``alpha`` and ``beta`` (kept as the int or float their check returns)
+    and whether ``n`` is long enough for ``L``, ``beta`` and the break are checked
+    here, so a bad value fails at construction, not in every replication.
     """
 
     label: str
@@ -61,9 +61,9 @@ class Scenario:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self) -> None:
-        _critval._check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha, 0.0, 1.0))
         _store_counts(self, n=0, L=0, seed=0, replications=1)
-        _check_usable_n(self.n, self.L, self.beta)
+        object.__setattr__(self, "beta", _check_usable_n(self.n, self.L, self.beta)[2])
         _check_change_index(self.change.change_index, self.n)
         if self.replications >= _SEED_STRIDE:
             raise ValueError(f"replications must be < {_SEED_STRIDE} "

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autocov import TimeSeries, _check_count, _checked_array, _store_counts
+from .autocov import TimeSeries, _check_count, _check_real, _checked_array, _store_counts
 
 DEFAULT_BURN_IN = 500
 
@@ -43,6 +43,9 @@ _PARAM_NAMES: dict[Family, tuple[str, ...]] = {
     Family.PRODUCT2DEP: ("mu_z", "sigma_z"),
     Family.GARCH11: ("omega", "alpha", "beta"),
 }
+# (low, high, closed) of the parameters that have bounds, as _check_real takes them
+_PARAM_BOUNDS = {"phi": (-1.0, 1.0), "sigma_z": (0.0,), "omega": (0.0,),
+                 "alpha": (0.0, math.inf, True), "beta": (0.0, math.inf, True)}
 
 
 @dataclass(frozen=True)
@@ -58,33 +61,20 @@ class ModelSpec:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        family = Family(self.family)
-        params = tuple(float(p) for p in self.params)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        family, params = Family(self.family), tuple(self.params)
         names = _PARAM_NAMES[family]
         if len(params) != len(names):
             raise ValueError(
                 f"{family.value} expects {len(names)} parameters "
                 f"{names}, got {len(params)}"
             )
-        if not all(math.isfinite(p) for p in params):
-            raise ValueError("model parameters must be finite")
-        if family is Family.ARMA11 and not abs(params[0]) < 1.0:
-            raise ValueError(f"ARMA(1,1) needs |phi| < 1, got phi={params[0]}")
-        if family is Family.PRODUCT2DEP and not params[1] > 0.0:
-            raise ValueError(f"sigma_z must be positive, got {params[1]}")
-        if family is Family.GARCH11:
-            omega, alpha, beta = params
-            if not omega > 0.0:
-                raise ValueError(f"GARCH needs omega > 0, got {omega}")
-            if alpha < 0.0 or beta < 0.0:
-                raise ValueError("GARCH needs alpha >= 0 and beta >= 0")
-            if not alpha + beta < 1.0:
-                raise ValueError(
-                    f"GARCH needs alpha + beta < 1 for stationarity, "
-                    f"got {alpha + beta}"
-                )
+        params = tuple(_check_real(name, p, *_PARAM_BOUNDS.get(name, ()))
+                       for name, p in zip(names, params))
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        if family is Family.GARCH11 and not params[1] + params[2] < 1.0:
+            raise ValueError(f"GARCH needs alpha + beta < 1 for stationarity, "
+                             f"got {params[1] + params[2]}")
 
     @classmethod
     def arma11(cls, phi: float, theta: float) -> "ModelSpec":
@@ -214,11 +204,10 @@ _SIMULATORS = {
 def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
                    seed: int | Sequence[int], burn_in: int) -> TimeSeries | np.ndarray:
     n, burn_in = _check_count("n", n, 1), _check_count("burn_in", burn_in)
-    single = np.ndim(seed) == 0
-    seeds = [seed] if single else list(seed)
-    if np.ndim(seed) > 1 or not seeds:
+    single = isinstance(seed, (str, bytes)) or not np.iterable(seed)
+    seeds = [_check_count("seed", s) for s in ([seed] if single else seed)]
+    if not seeds:
         raise ValueError("seed must be an int or a non-empty 1-D sequence of ints")
-    seeds = [_check_count("seed", s) for s in seeds]
     # Row t holds step t's parameters; the first burn_in + k_star precede the break.
     params = np.repeat([before.params, after.params],
                        [burn_in + k_star, n - k_star], axis=0)

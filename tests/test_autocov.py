@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cssm.autocov import TimeSeries, _check_count, as_timeseries, prefix_autocovs
+from cssm.autocov import (TimeSeries, _check_count, _check_real, as_timeseries,
+                           prefix_autocovs)
 from cssm.critval import sup_quantile
 from cssm.cusum import cssm_test
 from cssm.longrun import CovMatrix, bartlett_linear
@@ -35,6 +36,45 @@ class TestCheckCount:
             _check_count("replications", 0, 1)
         with pytest.raises(ValueError, match=r"^L must be >= 0, got -1$"):
             _check_count("L", np.int32(-1))
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value", [0.25, 1, np.float32(0.25), np.float64(0.25), np.int8(1),
+                                       True])
+    def test_reals_pass_as_float(self, value):
+        got = _check_real("x", value, 0.0, 2.0)
+        assert got == float(value) and type(got) is float
+
+    @pytest.mark.parametrize("value", ["0.3", None, 0.3j, np.complex128(0.3), np.array(0.3),
+                                       np.array([0.3]), [0.3], (0.3,)])
+    def test_non_reals_fail_naming_the_argument(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^beta must be a real number, got "):
+                _check_real("beta", value, 0.0, 0.5)
+
+    @pytest.mark.parametrize("low, high, closed, value, message", [
+        (0.0, 1.0, False, 0.0, "alpha must be finite and in (0, 1), got 0.0"),
+        (0.0, 1.0, False, 1.0, "alpha must be finite and in (0, 1), got 1.0"),
+        (0.0, 1.0, False, np.float64("nan"), "alpha must be finite and in (0, 1), got nan"),
+        (0.0, 1.0, True, -0.5, "alpha must be finite and in [0, 1), got -0.5"),
+        (0.0, np.inf, False, 0, "alpha must be finite and positive (alpha > 0), got 0"),
+        (0.0, np.inf, True, -1e-300,
+         "alpha must be finite and nonnegative (alpha >= 0), got -1e-300"),
+        (0.0, np.inf, True, np.inf, "alpha must be finite and nonnegative (alpha >= 0), got inf"),
+        (-np.inf, np.inf, False, -np.inf, "alpha must be finite, got -inf"),
+        (-np.inf, np.inf, False, 10 ** 400, "alpha must be finite, got 1" + "0" * 400),
+    ])
+    def test_out_of_range_fails_naming_the_argument(self, low, high, closed, value, message):
+        with pytest.raises(ValueError) as info:
+            _check_real("alpha", value, low, high, closed)
+        assert str(info.value) == message
+
+    def test_bounds(self):
+        assert _check_real("c", 0.0, 0.0, closed=True) == 0.0
+        assert _check_real("c", 1e308, 0.0, closed=True) == 1e308
+        assert _check_real("phi", -0.999, -1.0, 1.0) == -0.999
+        assert _check_real("theta", -1e308) == -1e308
 
 
 class TestTimeSeries:

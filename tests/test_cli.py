@@ -93,10 +93,11 @@ class TestReadSeriesParity:
         ("1.0\u20282.0\n".encode(), "line 1: not a number"),
         (b"1\x00\n2\n", "line 1: not a number"),
         (b"1e400\n2\n", "line 1: non-finite"),
+        (b"1.0\n\n# c\nx\n", "line 4: not a number"),
     ], ids=["crlf", "cr", "no-final-newline", "underscore-and-plus", "two-fields",
             "form-feed", "inf", "first-bad-line-wins", "no-data", "one-line-two-fields",
             "two-columns", "inline-comment", "header", "arabic-indic-digits", "blank-only",
-            "empty", "line-separator", "nul", "overflow"])
+            "empty", "line-separator", "nul", "overflow", "skipped-lines-counted"])
     def test_same_outcome_as_per_line_loop(self, tmp_path, raw, want):
         f = tmp_path / "x.txt"
         f.write_bytes(raw)
@@ -144,6 +145,12 @@ class TestSimulate:
         )
         assert code == 2
         assert "params-after" in err
+        code, _, err = run_cli(
+            "simulate", "--family", "ma2", "--params", "0.3,0.3",
+            "--n", "10", "--seed", "1", "--params-after", "0.1,0.1", capsys=capsys,
+        )
+        assert code == 2
+        assert "--params-after requires --change-at" in err
 
     def test_noise_sigma_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +207,20 @@ class TestDetect:
         code, _, err = run_cli("detect", str(f), "--L", "1", capsys=capsys)
         assert code == 2
         assert "minimum usable n" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        ("simulate --family arma11 --params nan,0.1 --n 10", "phi"),
+        ("detect {series} --alpha 1.5 --cache {cache}", "alpha"),
+        ("detect {series} --beta 0.7 --cache {cache}", "beta"),
+        ("critval --L 2 --alpha 0 --cache {cache}", "alpha"),
+    ])
+    def test_bad_real_flag_exits_2_naming_it(self, tmp_path, argv, name, capsys):
+        series, cache = tmp_path / "x.txt", tmp_path / "cache.txt"
+        series.write_text("".join(f"{v:.17g}\n" for v in np.linspace(-1.0, 1.0, 300)))
+        code, out, err = run_cli(*argv.format(series=series, cache=cache).split(), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert f"error: {name} must be " in err
+        assert not cache.exists()
 
     def test_short_series_fails_before_critical_value(self, tmp_path, capsys):
         # (L=2, alpha=0.05) is not built in; bad data must fail before the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cssm.autocov
 import cssm.critval
 from cssm.critval import (
     BUILTIN_TABLE,
@@ -26,7 +27,8 @@ class TestBridgeConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(grid_points=99), dict(replications=999), dict(seed=0), dict(seed=-3)],
+        [dict(grid_points=99), dict(replications=999), dict(seed=0), dict(seed=-3),
+         dict(seed=2**64)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -86,7 +88,7 @@ class TestMatchesReferenceKernel:
     def test_block_height_does_not_change_suprema(self, rows, L, monkeypatch):
         # one-row blocks, and blocks that divide neither 512 nor 76
         cfg = BridgeConfig(137, 1100, 50 + L)
-        monkeypatch.setattr(cssm.critval, "_BLOCK_BYTES", rows * (L + 1) * cfg.grid_points * 8)
+        monkeypatch.setattr(cssm.autocov, "_BLOCK_BYTES", rows * (L + 1) * cfg.grid_points * 8)
         heights = []
 
         def spy(rng, reps, *args):
@@ -274,6 +276,13 @@ class TestCriticalValue:
                          "3 0.025 150 1200 77 9.125\n")
         cfg = BridgeConfig(grid_points=150, replications=1200, seed=77)
         assert critical_value(3, 0.025, cfg, cache_path=cache) == 9.125
+        # a file whose only record has another key is a miss: simulate, then append
+        cache.write_text("3 0.025 150 1200 77 9.125\n")
+        cfg = BridgeConfig(grid_points=100, replications=1000, seed=77)
+        c = critical_value(3, 0.025, cfg, cache_path=cache)
+        assert c == critical_value(3, 0.025, cfg)
+        assert cache.read_text().splitlines() == ["3 0.025 150 1200 77 9.125",
+                                                  f"3 0.025000000000000001 100 1000 77 {c:.17g}"]
 
     @pytest.mark.parametrize("record", ["nan", "-3", "inf"])
     def test_bad_cache_record_raises(self, tmp_path, record):

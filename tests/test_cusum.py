@@ -266,7 +266,8 @@ class TestCssmTest:
         best = int(np.argmax(path.values))
         assert path.k_min + best == 3
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 7.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 7.0, "0.05", np.array([0.05]),
+                                       np.array(0.05), None, 0.05j])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
         with pytest.raises(ValueError, match="alpha"):
@@ -279,6 +280,12 @@ class TestCssmTest:
         # a NaN threshold never rejects; none of these is a quantile of the law
         x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
         with pytest.raises(ValueError, match="critical value must be finite"):
+            cssm_test(x, 1, critical_value=c)
+
+    @pytest.mark.parametrize("c", ["2.4", np.array([2.4]), np.array(2.4), 2.4j])
+    def test_critical_value_must_be_a_real_number(self, c):
+        x = simulate(ModelSpec.ma2(0.0, 0.0), 300, seed=1)
+        with pytest.raises(ValueError, match="critical value must be a real number"):
             cssm_test(x, 1, critical_value=c)
 
     def test_zero_and_huge_critical_values_stay_valid(self):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cssm.autocov import _block_rows
 from cssm.longrun import (
     CovMatrix,
-    _block_rows,
     _longrun_terms,
     _min_usable_n,
     bartlett_linear,
@@ -33,7 +33,7 @@ class TestTruncationLag:
         assert truncation_lag(n, beta) == want
 
     def test_beta_bounds(self):
-        for bad in (0.0, 0.5, -0.1, 0.7):
+        for bad in (0.0, 0.5, -0.1, 0.7, "0.3", np.array(0.3), 0.3j, None):
             with pytest.raises(ValueError, match="beta"):
                 truncation_lag(100, bad)
 
@@ -46,7 +46,7 @@ class TestBeta:
     def test_out_of_range_rejected_by_every_entry_point(self):
         x = simulate(ModelSpec.arma11(0.2, 0.1), 300, seed=1)
         spec = ModelSpec.arma11(0.2, 0.1)
-        for bad in (0.0, 0.5, -0.1, 0.7):
+        for bad in (0.0, 0.5, -0.1, 0.7, np.array([0.3, 0.2]), None):
             with pytest.raises(ValueError, match="beta"):
                 estimate_longrun_cov(x, 1, bad)
             with pytest.raises(ValueError, match="beta"):
@@ -256,7 +256,7 @@ class TestBlockedSumsMatchPerLagLoop:
     @pytest.mark.parametrize("L", [0, 1, 3])
     @pytest.mark.parametrize("size", ["minimum", 60, 1000, "block"])
     def test_one_block_is_bit_identical(self, L, size):
-        n = {"minimum": _min_usable_n(L, 0.3), "block": _block_rows(L)}.get(size, size)
+        n = {"minimum": _min_usable_n(L, 0.3), "block": _block_rows(L + 1)}.get(size, size)
         h_n = truncation_lag(n, 0.3)
         if size == "minimum":
             assert n == L + h_n + 1
@@ -268,7 +268,7 @@ class TestBlockedSumsMatchPerLagLoop:
 
     @pytest.mark.parametrize("L", [0, 1, 3])
     def test_several_blocks_agree_to_rounding(self, L):
-        n = 3 * _block_rows(L) + 5
+        n = 3 * _block_rows(L + 1) + 5
         h_n = truncation_lag(n, 0.3)
         assert h_n > 5  # the lags above 5 skip the last block
         x = np.random.default_rng(n + L).standard_normal(n)
@@ -305,6 +305,12 @@ class TestBartlettLinear:
     def test_rejects_complex_gamma(self):
         with pytest.raises(ValueError, match="gamma must be real"):
             bartlett_linear([1.25 + 1j, 0.5], eta=3.0, L=1)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, float("inf"), float("nan"), "3",
+                                     np.array([3.0]), 3j])
+    def test_rejects_eta_that_is_not_a_positive_number(self, eta):
+        with pytest.raises(ValueError, match="^eta must be "):
+            bartlett_linear([1.0, 0.5], eta, 1)
 
     def test_non_gaussian_eta_term(self):
         # eta != 3 shifts entry (i, j) by (eta - 3) g(i) g(j)

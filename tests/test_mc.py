@@ -56,13 +56,13 @@ class TestRepSeed:
 
 
 class TestScenario:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 7.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -3.0, 7.0, "0.05", [0.05], None])
     def test_rejects_alpha_outside_unit_interval(self, alpha):
         before = ModelSpec.arma11(0.2, 0.1)
         with pytest.raises(ValueError, match="alpha"):
             Scenario("bad alpha", ChangeSpec(150, before, before), 300, alpha=alpha)
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.1, 0.7])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.1, 0.7, "0.3", np.array(0.3), None])
     def test_rejects_beta_outside_open_half_interval(self, beta):
         before = ModelSpec.arma11(0.2, 0.1)
         with pytest.raises(ValueError, match="beta"):
@@ -94,6 +94,10 @@ class TestScenario:
         # default_rng rejects negative seeds, so every replication would fail
         with pytest.raises(ValueError, match="seed must be >= 0"):
             arma_scenario(seed=-1)
+
+    def test_rejects_replications_that_reach_the_next_scenario_seeds(self):
+        with pytest.raises(ValueError, match=r"replications must be < 2097152"):
+            arma_scenario(reps=2**21)
 
 
 class TestRunScenario:

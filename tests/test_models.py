@@ -36,6 +36,23 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match="sigma_z"):
             ModelSpec.product2dep(0.0, 0.0)
 
+    @pytest.mark.parametrize("family, params, name", [
+        (Family.ARMA11, (0.1j, 0.1), "phi"),
+        (Family.ARMA11, ("0.2", 0.1), "phi"),
+        (Family.ARMA11, (np.nan, 0.1), "phi"),
+        (Family.ARMA11, (0.2, np.nan), "theta"),
+        (Family.MA2, (0.1, [0.2]), "theta2"),
+        (Family.PRODUCT2DEP, (np.inf, 1.0), "mu_z"),
+        (Family.PRODUCT2DEP, (0.0, None), "sigma_z"),
+        (Family.GARCH11, (np.array(0.5), 0.1, 0.2), "omega"),
+        (Family.GARCH11, (0.5, 0.1, np.float64(-0.2)), "beta"),
+    ])
+    def test_bad_parameter_is_named(self, family, params, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                ModelSpec(family, params)
+
     def test_fields_are_family_and_params(self):
         assert [f.name for f in dataclasses.fields(ModelSpec)] == ["family", "params"]
 
@@ -78,6 +95,7 @@ class TestDeterminism:
     def test_same_seed_same_path(self, spec):
         a = simulate(spec, 200, seed=99)
         b = simulate(spec, 200, seed=99)
+        assert len(a) == 200
         assert np.array_equal(a.values, b.values)
         c = simulate(spec, 200, seed=100)
         assert not np.array_equal(a.values, c.values)
@@ -162,9 +180,10 @@ class TestBatchedSimulators:
         assert got[1].tobytes() == simulate(spec, 30, 4).values.tobytes()
 
     # numpy's own errors do not name the seed, and a float seed raises TypeError there
-    @pytest.mark.parametrize("seed", [[], -1, [5, -1], [[1, 2]], 1.5, [3, 2.0], np.float64(4)],
+    @pytest.mark.parametrize("seed", [[], -1, [5, -1], [[1, 2]], 1.5, [3, 2.0], np.float64(4),
+                                      [[1, 2], [3]]],
                              ids=["empty", "negative", "negative-row", "2-d", "float",
-                                  "float-row", "np.float64"])
+                                  "float-row", "np.float64", "ragged"])
     def test_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be"):
             simulate(ModelSpec.arma11(0.2, 0.1), 30, seed)
