@@ -17,7 +17,7 @@ import numpy as np
 from .critval import (BUILTIN_TABLE, DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig,
                       critical_value)
 from .cusum import cssm_test
-from .longrun import DEFAULT_BETA, _check_usable_n, truncation_lag
+from .longrun import DEFAULT_BETA, _check_usable_n
 from .mc import (DEFAULT_REPLICATIONS, TABLE_IDS, run_scenario, table_scenarios,
                  write_reports_csv)
 from .models import (DEFAULT_BURN_IN, ChangeSpec, Family, ModelSpec, simulate,
@@ -117,7 +117,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.center:
         values = values - values.mean()
     # too little data must fail before a bridge simulation or a cache write
-    _check_usable_n(values.size, args.L, args.beta)
+    h_n = _check_usable_n(values.size, args.L, args.beta)[3]
     res = cssm_test(values, args.L, args.beta, args.alpha,
                     critical_value=_critical_value(args))
 
@@ -125,7 +125,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         f"n: {res.n}",
         f"L: {res.L}",
         f"alpha: {args.alpha:g}",
-        f"h_n: {truncation_lag(res.n, args.beta)}",
+        f"h_n: {h_n}",
         f"statistic: {res.statistic:.6g}",
         f"critical_value: {res.critical_value:.6g}",
         f"change_detected: {'yes' if res.reject else 'no'}",

@@ -57,26 +57,26 @@ class CovMatrix:
 
 
 def truncation_lag(n: int, beta: float) -> int:
-    """Displacement cutoff ``floor(n**beta)`` clamped to [1, n-1]; ``beta`` in (0, 1/2)."""
+    """Displacement cutoff ``floor(n**beta)``, at least 1; ``beta`` in (0, 1/2), so it is < n."""
     n, beta = _check_count("n", n, 2), _check_real("beta", beta, 0.0, 0.5)
-    return min(max(math.floor(n ** beta), 1), n - 1)
+    return max(math.floor(n ** beta), 1)
 
 
 def _min_usable_n(L: int, beta: float) -> int:
     n = max(L + 2, 2)
-    while truncation_lag(n, beta) + L >= n:
+    while truncation_lag(n, beta) + L >= n:  # n - h_n never falls as n grows, so n >= this passes
         n += 1
     return n
 
 
-def _check_usable_n(n: int, L: int, beta: float) -> tuple[int, int, float]:
-    """The checked ``(n, L, beta)``; ValueError naming the smallest usable n unless h_n + L < n."""
+def _check_usable_n(n: int, L: int, beta: float) -> tuple[int, int, float, int]:
+    """Checked ``(n, L, beta, h_n)``; a ValueError naming the least usable n unless h_n + L < n."""
     n, L, beta = _check_count("n", n), _check_count("L", L), _check_real("beta", beta, 0.0, 0.5)
-    n_min = _min_usable_n(L, beta)
-    if n < n_min:
+    h_n = truncation_lag(max(n, 2), beta)  # >= 1, so n < 2 fails the test below
+    if h_n + L >= n:
         raise ValueError(f"insufficient data: n={n} with L={L}, beta={beta}; "
-                         f"minimum usable n is {n_min}")
-    return n, L, beta
+                         f"minimum usable n is {_min_usable_n(L, beta)}")
+    return n, L, beta, h_n
 
 
 def sigma_bar(x, h: int, k: int, lag: int) -> float:
@@ -196,8 +196,8 @@ def estimate_longrun_cov(x, L: int, beta: float = DEFAULT_BETA) -> CovMatrix:
         underflow, asking for the series to be rescaled.
     """
     values = as_timeseries(x).values
-    n, L, beta = _check_usable_n(values.size, L, beta)
-    _, raw, floor = _longrun_terms(values, L, truncation_lag(n, beta))
+    _, L, _, h_n = _check_usable_n(values.size, L, beta)
+    _, raw, floor = _longrun_terms(values, L, h_n)
     eigvals, eigvecs = np.linalg.eigh(raw)
     eigvals = np.maximum(eigvals, floor)
     rebuilt = (eigvecs * eigvals) @ eigvecs.T

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cssm.autocov import _block_rows
 from cssm.longrun import (
     CovMatrix,
+    _check_usable_n,
     _longrun_terms,
     _min_usable_n,
     bartlett_linear,
@@ -40,6 +41,22 @@ class TestTruncationLag:
     def test_clamped_to_n_minus_1(self):
         # beta close to 1/2 with tiny n exercises the upper clamp
         assert truncation_lag(2, 0.49) == 1
+
+    def test_usable_n_check_matches_the_minimum_search(self):
+        # the direct test h_n + L < n refuses exactly the n below the searched minimum
+        for beta in (1e-9, 0.01, 0.1, 0.25, 0.3, 0.4, 0.49, 0.4999999):
+            lags = [truncation_lag(n, beta) for n in range(2, 601)]
+            assert all(h < n for n, h in enumerate(lags, start=2))
+            for L in range(21):
+                n_min = _min_usable_n(L, beta)
+                for n in range(2, 601):
+                    try:
+                        got = _check_usable_n(n, L, beta)
+                    except ValueError as exc:
+                        assert n < n_min, (n, L, beta, exc)
+                        assert str(exc).endswith(f"minimum usable n is {n_min}")
+                    else:
+                        assert n >= n_min and got == (n, L, beta, lags[n - 2]), (n, L, beta)
 
 
 class TestBeta:
