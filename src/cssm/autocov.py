@@ -124,16 +124,15 @@ def as_timeseries(x) -> TimeSeries:
 def _as_stack(x) -> tuple[np.ndarray, bool]:
     """``x`` as an (R, n) float64 stack of series, and whether it was one series.
 
-    A 2-D array is checked as a whole and, if float64, read in place, not copied; a
-    :class:`TimeSeries` or a 1-D input becomes the stack of one through
-    :func:`as_timeseries`.  Any other shape raises a ValueError naming both.
+    A 1-D or 2-D array is checked once as a whole and, if float64, read in place, not
+    copied; a 1-D one or a :class:`TimeSeries` becomes the stack of one.  Any other shape
+    raises a ValueError naming both.
     """
-    if not isinstance(x, TimeSeries):
-        forms = {1: "one series (1-D)", 2: "a stack of series (2-D)"}
-        x = _checked_array(x, "series", forms, item="observation", copy=False)
-        if x.ndim == 2:
-            return x, False
-    return as_timeseries(x).values[None], True
+    if isinstance(x, TimeSeries):
+        return x.values[None], True
+    forms = {1: "one series (1-D)", 2: "a stack of series (2-D)"}
+    x = _checked_array(x, "series", forms, item="observation", copy=False)
+    return (x, False) if x.ndim == 2 else (x[None], True)
 
 
 def _prefix_autocovs(values: np.ndarray, L: int) -> np.ndarray:

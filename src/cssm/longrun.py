@@ -59,13 +59,15 @@ class CovMatrix:
 def truncation_lag(n: int, beta: float) -> int:
     """Displacement cutoff ``floor(n**beta)``, at least 1; ``beta`` in (0, 1/2), so it is < n."""
     n, beta = _check_count("n", n, 2), _check_real("beta", beta, 0.0, 0.5)
-    return max(math.floor(n ** beta), 1)
+    if (bits := math.log2(n)) * beta >= 1024:  # n**beta past the double range
+        raise ValueError(f"n must be below 2**{1024 / beta:.6g} at beta={beta}, got 2**{bits:.6g}")
+    return max(math.floor(n ** beta if bits < 1023 else 2.0 ** (beta * bits)), 1)
 
 
 def _min_usable_n(L: int, beta: float) -> int:
-    n = max(L + 2, 2)
-    while truncation_lag(n, beta) + L >= n:  # n - h_n never falls as n grows, so n >= this passes
-        n += 1
+    n = L + 2  # climbs to the least n >= L + 1 + h_n and stops there, as h_n never falls
+    while (m := L + 1 + truncation_lag(n, beta)) > n:
+        n = m
     return n
 
 

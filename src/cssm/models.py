@@ -37,12 +37,6 @@ class Family(str, Enum):
     GARCH11 = "garch11"
 
 
-_PARAM_NAMES: dict[Family, tuple[str, ...]] = {
-    Family.ARMA11: ("phi", "theta"),
-    Family.MA2: ("theta1", "theta2"),
-    Family.PRODUCT2DEP: ("mu_z", "sigma_z"),
-    Family.GARCH11: ("omega", "alpha", "beta"),
-}
 # (low, high, closed) of the parameters that have bounds, as _check_real takes them
 _PARAM_BOUNDS = {"phi": (-1.0, 1.0), "sigma_z": (0.0,), "omega": (0.0,),
                  "alpha": (0.0, math.inf, True), "beta": (0.0, math.inf, True)}
@@ -61,8 +55,11 @@ class ModelSpec:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        family, params = Family(self.family), tuple(self.params)
-        names = _PARAM_NAMES[family]
+        family, params = Family(self.family), self.params
+        names = _FAMILIES[family][0]
+        if isinstance(params, (str, bytes)) or not np.iterable(params):
+            raise ValueError(f"params must be a sequence of numbers {names}, got {params!r}")
+        params = tuple(params)
         if len(params) != len(names):
             raise ValueError(
                 f"{family.value} expects {len(names)} parameters "
@@ -193,11 +190,12 @@ def _sim_garch11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     return np.array(path).reshape(z.shape)
 
 
-_SIMULATORS = {
-    Family.ARMA11: _sim_arma11,
-    Family.MA2: _sim_ma2,
-    Family.PRODUCT2DEP: _sim_product2dep,
-    Family.GARCH11: _sim_garch11,
+# each family's parameter names, in ModelSpec.params order, and its kernel
+_FAMILIES: dict[Family, tuple[tuple[str, ...], Callable]] = {
+    Family.ARMA11: (("phi", "theta"), _sim_arma11),
+    Family.MA2: (("theta1", "theta2"), _sim_ma2),
+    Family.PRODUCT2DEP: (("mu_z", "sigma_z"), _sim_product2dep),
+    Family.GARCH11: (("omega", "alpha", "beta"), _sim_garch11),
 }
 
 
@@ -213,7 +211,7 @@ def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
                        [burn_in + k_star, n - k_star], axis=0)
     # Overflow surfaces as a non-finite path, which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        paths = _SIMULATORS[before.family](params, seeds)[burn_in:].T
+        paths = _FAMILIES[before.family][1](params, seeds)[burn_in:].T
     if single:
         return TimeSeries(paths[0])
     paths = _checked_array(paths, "simulated paths", copy=False)

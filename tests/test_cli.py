@@ -208,6 +208,16 @@ class TestDetect:
         assert code == 2
         assert "minimum usable n" in err
 
+    @pytest.mark.parametrize("argv", [f"--L {10**400}", f"--L {10**18} --beta 0.49"])
+    def test_absurd_L_exits_2_naming_minimum(self, tmp_path, argv, capsys):
+        f, cache = tmp_path / "x.txt", tmp_path / "cache.txt"
+        f.write_text("1.0\n-1.0\n" * 150)
+        code, out, err = run_cli("detect", str(f), *argv.split(), "--cache", str(cache),
+                                 capsys=capsys)
+        assert (code, out) == (2, "")
+        assert "minimum usable n is" in err
+        assert not cache.exists()
+
     @pytest.mark.parametrize("argv, name", [
         ("simulate --family arma11 --params nan,0.1 --n 10", "phi"),
         ("detect {series} --alpha 1.5 --cache {cache}", "alpha"),

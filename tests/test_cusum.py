@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cssm import cusum
-from cssm.autocov import prefix_autocovs
+from cssm.autocov import TimeSeries, _as_stack, prefix_autocovs
 from cssm.cusum import CusumPath, cssm_test, cusum_path, inv_sqrt
 from cssm.cusum import TestResult as _TestResult
 from cssm.longrun import CovMatrix, _min_usable_n, estimate_longrun_cov, sigma_bar
@@ -377,6 +377,21 @@ class TestStacks:
         for x, c, vals, vals0 in zip(X, covs, paths.values, shared.values):
             assert vals.tobytes() == cusum_path(x, c, L).values.tobytes()
             assert vals0.tobytes() == cusum_path(x, covs[0], L).values.tobytes()
+
+    def test_one_check_reads_a_float64_series_in_place(self):
+        X = simulate(FAMILIES["arma11"], 300, [2, 3])
+        x = simulate(FAMILIES["arma11"], 300, 2).values  # read-only, 1-D
+        for arr in (X, x):
+            assert np.shares_memory(_as_stack(arr)[0], arr)
+        C = estimate_longrun_cov(x, 2)
+        calls = (lambda v: cssm_test(v, 2, critical_value=2.5).path.values,
+                 lambda v: cusum_path(v, C, 2).values, lambda v: prefix_autocovs(v, 2))
+        for call in calls:
+            want = call(x).tobytes()
+            assert call(TimeSeries(x)).tobytes() == want
+            assert call(x.tolist()).tobytes() == want
+        res = [cssm_test(v, 2, critical_value=2.5) for v in (x, TimeSeries(x), x.tolist())]
+        assert res[0] == res[1] == res[2]
 
     def test_stack_checks(self):
         X = np.random.default_rng(9).standard_normal((3, 50))

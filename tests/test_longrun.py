@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -38,9 +39,25 @@ class TestTruncationLag:
             with pytest.raises(ValueError, match="beta"):
                 truncation_lag(100, bad)
 
-    def test_clamped_to_n_minus_1(self):
-        # beta close to 1/2 with tiny n exercises the upper clamp
+    def test_least_n_at_largest_beta_gives_one(self):
+        # floor(2**0.49) = 1, the least cutoff
         assert truncation_lag(2, 0.49) == 1
+
+    def test_minimum_for_a_huge_L_is_found_at_once(self):
+        # a fixed point, not a walk of about L**beta steps
+        L, start = 10**15, time.perf_counter()
+        n = _min_usable_n(L, 0.49)
+        assert time.perf_counter() - start < 1.0
+        assert truncation_lag(n, 0.49) + L < n and truncation_lag(n - 1, 0.49) + L >= n - 1
+
+    def test_n_past_the_double_range(self):
+        # n**beta is taken through log2(n); a cutoff past the double range raises
+        assert truncation_lag(10**400, 0.3) == pytest.approx(1e120, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^n must be below 2\*\*2089.8 at beta=0.49"):
+            truncation_lag(2**3000, 0.49)
+        L = 10**400
+        with pytest.raises(ValueError, match=f"minimum usable n is {_min_usable_n(L, 0.3)}$"):
+            estimate_longrun_cov(np.ones(50), L)
 
     def test_usable_n_check_matches_the_minimum_search(self):
         # the direct test h_n + L < n refuses exactly the n below the searched minimum

@@ -46,6 +46,10 @@ class TestModelSpecValidation:
         (Family.PRODUCT2DEP, (0.0, None), "sigma_z"),
         (Family.GARCH11, (np.array(0.5), 0.1, 0.2), "omega"),
         (Family.GARCH11, (0.5, 0.1, np.float64(-0.2)), "beta"),
+        (Family.MA2, 0.5, "params"),
+        ("ma2", None, "params"),
+        (Family.ARMA11, "0.2,0.1", "params"),
+        (Family.GARCH11, np.array(0.5), "params"),
     ])
     def test_bad_parameter_is_named(self, family, params, name):
         with warnings.catch_warnings():
@@ -55,6 +59,12 @@ class TestModelSpecValidation:
 
     def test_fields_are_family_and_params(self):
         assert [f.name for f in dataclasses.fields(ModelSpec)] == ["family", "params"]
+
+    def test_params_sequences_pass(self):
+        want = ModelSpec.ma2(0.1, 0.2)
+        for params in ((0.1, 0.2), [0.1, 0.2], np.array([0.1, 0.2])):
+            spec = ModelSpec(Family.MA2, params)
+            assert spec == want and type(spec.params) is tuple
 
     def test_param_count(self):
         with pytest.raises(ValueError, match="expects"):
