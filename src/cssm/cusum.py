@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import (_TINY, _as_stack, _block_rows, _check_count, _check_real,
-                      _checked_array, _prefix_autocovs)
+from .autocov import (_TINY, _as_stack, _check_count, _check_real, _checked_array,
+                      _prefix_autocovs)
 from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
@@ -81,8 +81,8 @@ def cusum_path(x, C, L: int) -> CusumPath:
     autocovariances and the full-sample ones; a plain array ``C`` is checked
     as a :class:`CovMatrix` for this L.  An (R, n) stack of series takes one
     matrix for all rows or a stack of R (one ``eigh``), and gives an (R, n-L-1)
-    path whose row r is the path of row r, weighted in blocks of rows whose
-    prefix sums stay in cache.  Prefix autocovariances come from running sums:
+    path whose row r is the path of row r, all weighted in one pass (about
+    (2L+3) R n doubles at peak).  Prefix autocovariances come from running sums:
     O(n L) for the path plus O(n L^2) for the weighting.  Works in data units:
     a path past the double range (a series near max|x| = 1e154 or an
     ill-conditioned ``C``) raises ValueError, as does one that underflows while
@@ -99,30 +99,23 @@ def cusum_path(x, C, L: int) -> CusumPath:
     if n < L + 2:
         raise ValueError(f"need n >= L + 2 for a nonempty path, got n={n}, L={L}")
     root = inv_sqrt(C)
-    rows = _block_rows(n * (L + 1))
-    paths = []
-    # Each block makes its path and the k^2/n scale after its temporaries, as one series
-    # always did: made up front, they changed which freed memory the allocator kept
-    # mapped, and with it the page faults of large arrays made later in the process.
+    # the path and its k^2/n scale come after the temporaries: made first, they moved the
+    # page faults of large arrays made later in the process (seen on one long series)
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in (slice(r, r + rows) for r in range(0, R, rows)):  # each stays in cache
-            prefix = _prefix_autocovs(values[block], L)
-            diff = prefix[:, :-1]
-            diff -= prefix[:, -1:]  # in place: each prefix less the full sample
-            weighted = diff @ (root if root.ndim == 2 else root[block])
-            path = np.einsum("rij,rij->ri", weighted, weighted)
-            k = np.arange(L + 1, n, dtype=np.float64)
-            path *= k * k / n
-            top = path.max(axis=1)  # paths are >= 0, so any NaN or inf shows here
-            if not (top < np.inf).all():
-                raise ValueError("CUSUM path overflows; "
-                                 "rescale the series or check C's conditioning")
-            if (top < _TINY).any() and diff[top < _TINY].any():
-                raise ValueError("CUSUM path underflows; rescale the series or check C's scale")
-            paths.append(path)
-    vals = paths[0] if len(paths) == 1 else np.concatenate(paths)
-    vals.setflags(write=False)
-    return CusumPath(values=vals[0] if single else vals, k_min=L + 1, k_max=n - 1)
+        prefix = _prefix_autocovs(values, L)
+        diff = prefix[:, :-1]
+        diff -= prefix[:, -1:]  # in place: each prefix less the full sample
+        weighted = diff @ root  # a 2-D root serves every row, a stack pairs with its row
+        path = np.einsum("rij,rij->ri", weighted, weighted)
+        k = np.arange(L + 1, n, dtype=np.float64)
+        path *= k * k / n
+        top = path.max(axis=1)  # paths are >= 0, so any NaN or inf shows here
+        if not (top < np.inf).all():
+            raise ValueError("CUSUM path overflows; rescale the series or check C's conditioning")
+        if (top < _TINY).any() and diff[top < _TINY].any():
+            raise ValueError("CUSUM path underflows; rescale the series or check C's scale")
+    path.setflags(write=False)
+    return CusumPath(values=path[0] if single else path, k_min=L + 1, k_max=n - 1)
 
 
 def cssm_test(x, L: int, beta: float = DEFAULT_BETA, alpha: float = DEFAULT_ALPHA,

@@ -76,8 +76,12 @@ def _check_usable_n(n: int, L: int, beta: float) -> tuple[int, int, float, int]:
     n, L, beta = _check_count("n", n), _check_count("L", L), _check_real("beta", beta, 0.0, 0.5)
     h_n = truncation_lag(max(n, 2), beta)  # >= 1, so n < 2 fails the test below
     if h_n + L >= n:
+        try:
+            least = _min_usable_n(L, beta)
+        except ValueError:  # the climb passed the n whose n**beta leaves the double range
+            least = f"above 2**{1024 / beta:.6g}"
         raise ValueError(f"insufficient data: n={n} with L={L}, beta={beta}; "
-                         f"minimum usable n is {_min_usable_n(L, beta)}")
+                         f"minimum usable n is {least}")
     return n, L, beta, h_n
 
 

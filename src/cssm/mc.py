@@ -95,10 +95,10 @@ def rep_seed(base_seed: int, r: int) -> int:
 
 
 # Replications simulated per call of simulate_with_change, and tested per
-# call of cssm_test.  More rows share each interpreted time step, but every
-# row adds burn_in + n doubles to the chunk's buffers; on the T1 + T3 cells
-# throughput stops rising at 64 (about 1.3x that of 32, level with 128),
-# while peak RSS still grows with it.
+# call of cssm_test.  More rows share each interpreted time step, but a row
+# adds burn_in + n doubles to the chunk's buffers and about (2L+3)*n to the
+# CUSUM stage's; on the T1 + T3 cells throughput stops rising at 64 (about
+# 1.3x that of 32, level with 128), while peak RSS still grows with it.
 _CHUNK = 64
 
 _FAILURES = (ValueError, FloatingPointError, np.linalg.LinAlgError)

@@ -208,7 +208,8 @@ class TestDetect:
         assert code == 2
         assert "minimum usable n" in err
 
-    @pytest.mark.parametrize("argv", [f"--L {10**400}", f"--L {10**18} --beta 0.49"])
+    @pytest.mark.parametrize("argv", [f"--L {10**400}", f"--L {10**18} --beta 0.49",
+                                      f"--L {10**700} --beta 0.49"])
     def test_absurd_L_exits_2_naming_minimum(self, tmp_path, argv, capsys):
         f, cache = tmp_path / "x.txt", tmp_path / "cache.txt"
         f.write_text("1.0\n-1.0\n" * 150)
@@ -216,6 +217,27 @@ class TestDetect:
                                  capsys=capsys)
         assert (code, out) == (2, "")
         assert "minimum usable n is" in err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("target, exc, message", [
+        ("cssm.critval.simulate_bridge_sup", MemoryError("Unable to allocate 224. GiB"),
+         "Unable to allocate 224. GiB"),
+        ("cssm.cli.read_series", MemoryError(), "MemoryError"),
+        ("cssm.cli.read_series", OverflowError("int too large to convert to C long"),
+         "int too large to convert to C long"),
+    ])
+    def test_memory_and_overflow_errors_exit_2_not_1(self, tmp_path, monkeypatch, target, exc,
+                                                     message, capsys):
+        # exit 1 means "change detected", so no failure may leave through it
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, fail)
+        f, cache = tmp_path / "x.txt", tmp_path / "cache.txt"
+        f.write_text("1.0\n-1.0\n" * 150)
+        code, out, err = run_cli("detect", str(f), "--L", "2", "--reps", "1000",
+                                 "--cache", str(cache), capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not cache.exists()
 
     @pytest.mark.parametrize("argv, name", [

@@ -364,19 +364,20 @@ class TestStacks:
 
     @pytest.mark.parametrize("L", [0, 1, 3])
     def test_cusum_path_and_inv_sqrt_of_a_stack_loop_over_the_rows(self, L):
-        X = simulate(FAMILIES["garch11"], 200, [4, 5, 6])
-        covs = [estimate_longrun_cov(x, L) for x in X]
-        stack = CovMatrix(np.array([c.entries for c in covs]), L)
-        roots = inv_sqrt(stack)
-        assert roots.shape == (3, L + 1, L + 1)
-        for root, c in zip(roots, covs):
-            assert root.tobytes() == inv_sqrt(c).tobytes()
-        paths = cusum_path(X, stack, L)
-        assert paths.values.shape == (3, 200 - L - 1) and not paths.values.flags.writeable
-        shared = cusum_path(X, covs[0], L)  # one matrix weights every row
-        for x, c, vals, vals0 in zip(X, covs, paths.values, shared.values):
-            assert vals.tobytes() == cusum_path(x, c, L).values.tobytes()
-            assert vals0.tobytes() == cusum_path(x, covs[0], L).values.tobytes()
+        for R, n in ((3, 200), (70, 1000)):  # 70 rows at n = 1000 span 3 to 9 blocks of 256 KB
+            X = simulate(FAMILIES["garch11"], n, list(range(4, 4 + R)))
+            covs = [estimate_longrun_cov(x, L) for x in X]
+            stack = CovMatrix(np.array([c.entries for c in covs]), L)
+            roots = inv_sqrt(stack)
+            assert roots.shape == (R, L + 1, L + 1)
+            for root, c in zip(roots, covs):
+                assert root.tobytes() == inv_sqrt(c).tobytes()
+            paths = cusum_path(X, stack, L)
+            assert paths.values.shape == (R, n - L - 1) and not paths.values.flags.writeable
+            shared = cusum_path(X, covs[0], L)  # one matrix weights every row
+            for x, c, vals, vals0 in zip(X, covs, paths.values, shared.values):
+                assert vals.tobytes() == cusum_path(x, c, L).values.tobytes()
+                assert vals0.tobytes() == cusum_path(x, covs[0], L).values.tobytes()
 
     def test_one_check_reads_a_float64_series_in_place(self):
         X = simulate(FAMILIES["arma11"], 300, [2, 3])

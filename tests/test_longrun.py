@@ -58,6 +58,9 @@ class TestTruncationLag:
         L = 10**400
         with pytest.raises(ValueError, match=f"minimum usable n is {_min_usable_n(L, 0.3)}$"):
             estimate_longrun_cov(np.ones(50), L)
+        # the climb to the minimum passes n**beta's range: the refusal still names the minimum
+        with pytest.raises(ValueError, match=r"minimum usable n is above 2\*\*2089.8$"):
+            estimate_longrun_cov(np.ones(50), 10**700, 0.49)
 
     def test_usable_n_check_matches_the_minimum_search(self):
         # the direct test h_n + L < n refuses exactly the n below the searched minimum
