@@ -96,20 +96,18 @@ def _bridge_paths(rng: np.random.Generator, reps: int, n_bridges: int,
     return buf
 
 
-def _sup_batch(rng: np.random.Generator, reps: int, L: int, grid_points: int) -> np.ndarray:
-    """Suprema of one batch, simulated a block of rows at a time.
+def _sup_batch(rng: np.random.Generator, L: int, grid_points: int, out: np.ndarray) -> None:
+    """Suprema of one batch into ``out``, simulated a block of rows at a time.
 
     Draws continue one stream across blocks and every step acts within a row,
     so the block height never changes the output.
     """
-    rows = min(reps, _block_rows((L + 1) * grid_points))
+    rows = min(len(out), _block_rows((L + 1) * grid_points))
     buf = np.empty((rows, L + 1, grid_points))
-    sups = np.empty(reps)
-    for start in range(0, reps, rows):
-        k = min(rows, reps - start)
-        paths = _bridge_paths(rng, k, L + 1, grid_points, buf[:k])
-        np.einsum("rjm,rjm->rm", paths, paths).max(axis=1, out=sups[start:start + k])
-    return sups
+    for start in range(0, len(out), rows):
+        sups = out[start:start + rows]
+        paths = _bridge_paths(rng, len(sups), L + 1, grid_points, buf[:len(sups)])
+        np.einsum("rjm,rjm->rm", paths, paths).max(axis=1, out=sups)
 
 
 def _usable_cpus() -> int:
@@ -125,25 +123,35 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
 
     Deterministic given the config.  ``workers`` threads share the fixed
     batches (default: the usable CPUs, at most two; never more than the
-    batch count); it never changes the output.
+    batch count); it never changes the output.  The output is allocated first:
+    a count too large to hold raises ValueError before any batch runs.
     """
     L = _check_count("L", L)
     reps = cfg.replications
     n_batches = (reps + _BATCH_SIZE - 1) // _BATCH_SIZE
     workers = min(min(_usable_cpus(), _DEFAULT_WORKERS) if workers is None
                   else _check_count("workers", workers, 1), n_batches)
+    try:
+        sups = np.empty(reps)
+    except (ValueError, MemoryError) as exc:  # numpy: "Maximum allowed dimension exceeded"
+        raise ValueError(f"replications must fit in memory, got {reps}: {exc}") from None
+    batches, lock = iter(range(n_batches)), threading.Lock()
 
-    def run(b: int) -> np.ndarray:
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,))
-        size = min(_BATCH_SIZE, reps - b * _BATCH_SIZE)
-        return _sup_batch(np.random.default_rng(seq), size, L, cfg.grid_points)
+    def run(_thread: int) -> None:
+        while True:
+            with lock:
+                b = next(batches, None)
+            if b is None:
+                return
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
+            _sup_batch(rng, L, cfg.grid_points, sups[b * _BATCH_SIZE:(b + 1) * _BATCH_SIZE])
 
     if workers == 1:
-        parts = [run(b) for b in range(n_batches)]
+        run(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_batches)))
-    return np.concatenate(parts)
+            list(pool.map(run, range(workers)))
+    return sups
 
 
 def sup_quantile(sups, alpha: float) -> float:

@@ -94,11 +94,11 @@ def rep_seed(base_seed: int, r: int) -> int:
     return _check_count("base_seed", base_seed) ^ _check_count("r", r, 1)
 
 
-# Replications simulated per call of simulate_with_change, and tested per
-# call of cssm_test.  More rows share each interpreted time step, but a row
-# adds burn_in + n doubles to the chunk's buffers and about (2L+3)*n to the
-# CUSUM stage's; on the T1 + T3 cells throughput stops rising at 64 (about
-# 1.3x that of 32, level with 128), while peak RSS still grows with it.
+# Replications simulated per simulate_with_change call, and tested per cssm_test
+# call.  Rows share each interpreted time step of a simulator: a GARCH replication
+# costs about 100 us at 256 rows against 215 us at 64 (ARMA: 64 against 97 us).  A
+# tested row adds about (2L+3)*n doubles to the CUSUM stage, which gains nothing past 64.
+_SIM_CHUNK = 256
 _CHUNK = 64
 
 _FAILURES = (ValueError, FloatingPointError, np.linalg.LinAlgError)
@@ -125,15 +125,15 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
                  critical_value: float | None = None) -> PowerReport:
     """Replicate a scenario and tally rejections.
 
-    Replications run on the calling thread in chunks of ``_CHUNK``: one
+    Replications run on the calling thread in chunks of ``_SIM_CHUNK``: one
     :func:`simulate_with_change` call simulates a chunk's paths, each from
     its replication's own seed (:func:`rep_seed`), and one :func:`cssm_test`
-    call tests the chunk's stack of paths.  If either call fails, the
-    chunk's replications are run one by one, and each that fails counts
-    once.  A path and its test do not depend on the chunk, so the report is
-    a pure function of the scenario.  The critical value is resolved once up
-    front from the built-in table unless ``critical_value`` is given, and
-    checked before any replication.
+    call tests each slice of ``_CHUNK`` of those paths.  If a call fails, its
+    chunk's or slice's replications are run one by one, and each that fails
+    counts once.  A path and its test do not depend on the chunk or the
+    slice, so the report is a pure function of the scenario.  The critical
+    value is resolved once up front from the built-in table unless
+    ``critical_value`` is given, and checked before any replication.
 
     ``workers`` is deprecated and ignored: a thread pool over the Python
     simulators only made runs slower.  Any value other than 1 raises a
@@ -148,26 +148,25 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
     test = partial(cssm_test, L=scenario.L, beta=scenario.beta, alpha=scenario.alpha,
                    critical_value=critical_value)
     start = time.perf_counter()
-    failures = 0
-    reject_locs = []
+    completed, reject_locs = 0, []
     reps = scenario.replications
-    for first in range(1, reps + 1, _CHUNK):
+    for first in range(1, reps + 1, _SIM_CHUNK):
         seeds = [rep_seed(scenario.seed, r)
-                 for r in range(first, min(first + _CHUNK, reps + 1))]
+                 for r in range(first, min(first + _SIM_CHUNK, reps + 1))]
         paths = _each_row(simulate, seeds)
-        results = _each_row(test, paths) if len(paths) else []
-        failures += len(seeds) - len(results)
-        reject_locs += [result.change_index for result in results if result.reject]
-        del paths, results  # free this chunk's arrays before the next is simulated
+        for row in range(0, len(paths), _CHUNK):
+            results = _each_row(test, paths[row:row + _CHUNK])
+            completed += len(results)
+            reject_locs += [result.change_index for result in results if result.reject]
+        paths = results = None  # free this chunk's arrays before the next is simulated
 
-    completed = scenario.replications - failures
     rejections = len(reject_locs)
     mean_loc = float(np.mean(reject_locs)) if reject_locs else math.nan
     return PowerReport(
         scenario=scenario,
         rejections=rejections,
         replications=completed,
-        failures=failures,
+        failures=reps - completed,
         power=rejections / completed if completed else math.nan,
         mean_change_index=mean_loc,
         wall_time_s=time.perf_counter() - start,

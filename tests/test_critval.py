@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,26 @@ class TestWorkers:
             simulate_bridge_sup(0, cfg)
         assert pool_sizes == [2, 2, 2]
 
+    def test_many_threads_take_each_batch_once(self, monkeypatch):
+        # more threads than CPUs, switching as often as the interpreter allows
+        starts = []
+        batch = cssm.critval._sup_batch
+
+        def spy(rng, L, grid_points, out):
+            starts.append(out.__array_interface__["data"][0])
+            batch(rng, L, grid_points, out)
+
+        monkeypatch.setattr(cssm.critval, "_sup_batch", spy)
+        cfg = BridgeConfig(100, 40 * 512 - 100, 11)  # 40 batches, the last of 412
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_bridge_sup(0, cfg, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(starts) == len(set(starts)) == 40
+        assert got.tobytes() == bridge_sup_reference(0, cfg).tobytes()
+
     def test_one_worker_runs_on_the_calling_thread(self, pool_sizes, monkeypatch):
         cfg = BridgeConfig(100, 1500, 3)
         simulate_bridge_sup(0, cfg, workers=1)
@@ -175,6 +196,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_impossible_count_fails_before_any_batch(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            raise RuntimeError("a batch ran")
+
+        monkeypatch.setattr(cssm.critval, "_sup_batch", counted)
+        with pytest.raises(ValueError, match="replications must fit in memory"):
+            simulate_bridge_sup(2, BridgeConfig(replications=10**30), workers=1)
+        assert calls == []
 
 
 class TestReproducibility:

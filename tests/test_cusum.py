@@ -349,18 +349,20 @@ class TestStacks:
     @pytest.mark.parametrize("size", ["minimum", 60, 500, 1000])
     def test_cssm_test_of_a_stack_is_the_test_of_each_row(self, family, L, size):
         n = _min_usable_n(L, 0.3) if size == "minimum" else size
-        # rows of ordinary, tiny and huge scale; the simulator's stack is a transposed view
+        # rows of ordinary, tiny and huge scale, contiguous and (Fortran order) strided
         X = simulate(FAMILIES[family], n, list(range(1, 7))) * np.array([[1.0], [1e-200],
                                                                           [1e200], [3.0],
                                                                           [0.5], [1.0]])
         got = cssm_test(X, L, critical_value=2.5)
-        assert isinstance(got, list) and len(got) == len(X)
-        for row, res in zip(X, got):
+        strided = cssm_test(np.asfortranarray(X), L, critical_value=2.5)
+        assert isinstance(got, list) and len(got) == len(strided) == len(X)
+        for row, *results in zip(X, got, strided):
             want = cssm_test(row, L, critical_value=2.5)
-            assert res == want
-            assert np.array_equal(res.path.values, want.path.values)
-            assert res.path.values.tobytes() == want.path.values.tobytes()
-            assert not res.path.values.flags.writeable
+            for res in results:
+                assert res == want
+                assert np.array_equal(res.path.values, want.path.values)
+                assert res.path.values.tobytes() == want.path.values.tobytes()
+                assert not res.path.values.flags.writeable
 
     @pytest.mark.parametrize("L", [0, 1, 3])
     def test_cusum_path_and_inv_sqrt_of_a_stack_loop_over_the_rows(self, L):

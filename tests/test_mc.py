@@ -182,9 +182,13 @@ GOLDEN_130 = {
 
 
 class TestChunkedRunScenario:
-    @pytest.mark.parametrize("chunk", [1, 7, mc._CHUNK])
-    def test_tally_does_not_depend_on_chunk(self, monkeypatch, chunk):
+    # test slices crossed with simulation chunks; the default chunk keeps the bare id
+    @pytest.mark.parametrize("chunk, sim_chunk", [
+        pytest.param(chunk, sim, id=f"{chunk}" if sim == mc._SIM_CHUNK else f"{chunk}-sim{sim}")
+        for sim in (1, 7, 64, mc._SIM_CHUNK) for chunk in (1, 7, mc._CHUNK)])
+    def test_tally_does_not_depend_on_chunk(self, monkeypatch, chunk, sim_chunk):
         monkeypatch.setattr(mc, "_CHUNK", chunk)
+        monkeypatch.setattr(mc, "_SIM_CHUNK", sim_chunk)
         for family, scenario in _one_cell_per_family(130).items():
             rep = run_scenario(scenario)
             assert (rep.rejections, rep.failures, rep.mean_change_index) \
@@ -259,6 +263,26 @@ class TestChunkedRunScenario:
         rep = run_scenario(arma_scenario(reps=70))
         assert calls == [mc._CHUNK, 70 - mc._CHUNK]
         assert rep.replications == 70
+
+    def test_chunks_are_simulated_whole_and_tested_in_slices(self, monkeypatch):
+        simulated, tested = [], []
+        simulate = mc.simulate_with_change
+
+        def counted_simulate(change, n, seed):
+            simulated.append(len(seed))
+            return simulate(change, n, seed)
+
+        def counted_path(x, C, L):
+            tested.append(len(x))
+            return cusum_path(x, C, L)
+
+        monkeypatch.setattr(mc, "simulate_with_change", counted_simulate)
+        monkeypatch.setattr(cusum, "cusum_path", counted_path)
+        rep = run_scenario(arma_scenario(reps=300))
+        assert (mc._SIM_CHUNK, mc._CHUNK) == (256, 64)
+        assert simulated == [256, 44]
+        assert tested == [64, 64, 64, 64, 44]
+        assert rep.replications == 300
 
 
 class TestTableGrids:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +210,31 @@ class TestBatchedSimulators:
                 simulate(spec, 50, [1, 2, 3])
             with pytest.raises(ValueError, match="NaN or infinite"):
                 simulate(spec, 50, 1)
+
+
+class TestInPlaceSimulators:
+    """Paths are written over their innovations, in one buffer row per seed."""
+
+    @pytest.mark.parametrize("family", list(BREAKS))
+    def test_rows_of_a_300_seed_stack_are_their_one_seed_paths(self, family):
+        cs = ChangeSpec(150, *BREAKS[family])
+        seeds = list(range(11, 311))
+        stack = simulate_with_change(cs, 300, seeds)
+        assert stack.shape == (300, 300)
+        for row, seed in zip(stack, seeds):
+            assert row.tobytes() == simulate_with_change(cs, 300, seed).values.tobytes()
+
+    @pytest.mark.parametrize("family", ["arma11", "garch11"])
+    def test_stack_peaks_below_two_and_a_half_buffers(self, family):
+        # numpy reports its buffers to tracemalloc; the buffer is (burn_in + n) doubles a seed
+        R, n = 256, 1000
+        tracemalloc.start()
+        try:
+            simulate(BREAKS[family][0], n, list(range(R)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (DEFAULT_BURN_IN + n) * R * 8
 
 
 class TestStationaryMoments:
