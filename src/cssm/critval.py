@@ -8,9 +8,9 @@ else on demand: bridges are built on a uniform grid from Gaussian random
 walks via ``B(t) = W(t) - t W(1)``, and the empirical quantile of the
 per-replication suprema is returned.  Replications run in fixed batches
 of 512, each from its own spawned stream, on up to two threads by
-default, each in blocks of rows that fill the package's 256 KB block; the
-output depends only on (L, grid, replications, seed), never on the
-thread count or the block size.
+default (thread t takes batches t, t + threads, ...), each in blocks of
+rows that fill the package's 256 KB block; the output depends only on
+(L, grid, replications, seed), never on the thread count or block size.
 
 Simulated values can be cached in an append-only text file, one record
 per line: ``L alpha grid replications seed c_value``.  Nothing is kept in
@@ -121,8 +121,8 @@ def _usable_cpus() -> int:
 def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -> np.ndarray:
     """One supremum of ``sum_{j=0..L} B_j(t)^2`` per replication.
 
-    Deterministic given the config.  ``workers`` threads share the fixed
-    batches (default: the usable CPUs, at most two; never more than the
+    Deterministic given the config.  ``workers`` threads take strides of the
+    fixed batches (default: the usable CPUs, at most two; never more than the
     batch count); it never changes the output.  The output is allocated first:
     a count too large to hold raises ValueError before any batch runs.
     """
@@ -135,14 +135,9 @@ def simulate_bridge_sup(L: int, cfg: BridgeConfig, workers: int | None = None) -
         sups = np.empty(reps)
     except (ValueError, MemoryError) as exc:  # numpy: "Maximum allowed dimension exceeded"
         raise ValueError(f"replications must fit in memory, got {reps}: {exc}") from None
-    batches, lock = iter(range(n_batches)), threading.Lock()
 
-    def run(_thread: int) -> None:
-        while True:
-            with lock:
-                b = next(batches, None)
-            if b is None:
-                return
+    def run(first: int) -> None:
+        for b in range(first, n_batches, workers):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
             _sup_batch(rng, L, cfg.grid_points, sups[b * _BATCH_SIZE:(b + 1) * _BATCH_SIZE])
 
@@ -171,8 +166,8 @@ def _cache_lookup(path, key: tuple[int, float, int, int, int]) -> float | None:
     p = Path(path)
     if not p.exists():
         return None
-    for line in p.read_text().splitlines():
-        try:  # a blank, comment, short, long or unparsable line is skipped
+    for line in p.read_text(encoding="utf-8", errors="replace").splitlines():
+        try:  # a blank, comment, short, long, unparsable or non-text line is skipped
             L, alpha, grid, reps, seed, value = line.split()
             rec = (int(L), float(alpha), int(grid), int(reps), int(seed))
             c = float(value)

@@ -210,11 +210,9 @@ def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
     # Overflow surfaces as a non-finite path, which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
         paths = _FAMILIES[before.family][1](params, seeds)[burn_in:].T
-    if single:
-        return TimeSeries(paths[0])
     paths = _checked_array(paths, "simulated paths", copy=False)
     paths.setflags(write=False)
-    return paths
+    return TimeSeries(paths[0]) if single else paths
 
 
 def simulate(spec: ModelSpec, n: int, seed: int | Sequence[int],
@@ -228,8 +226,8 @@ def simulate(spec: ModelSpec, n: int, seed: int | Sequence[int],
     An int ``seed`` returns a :class:`TimeSeries`.  A non-empty 1-D
     sequence of seeds returns a read-only float64 array of shape
     (len(seed), n) whose row r is byte-identical to the path of
-    ``seed[r]``; it raises ``ValueError`` if any row is not finite, as a
-    :class:`TimeSeries` does.
+    ``seed[r]``.  Either form raises ``ValueError`` ("simulated paths must
+    be finite") if a path is not finite.
     """
     return _simulate_pair(spec, spec, n, n, seed, burn_in)
 

@@ -297,16 +297,17 @@ class TestCriticalValue:
     def test_cache_read_from_foreign_process(self, tmp_path):
         # records written by another run are honored
         cache = tmp_path / "cache.txt"
-        # blank, comment, 5- and 7-field lines and a non-numeric field come first
-        # and are skipped
-        cache.write_text("# comment line\n"
-                         "\n"
-                         "   \t \n"
-                         "3 0.025 150 1200 77 1.0 2.0\n"
-                         "# 3 0.025 150 1200 77 1.0\n"
-                         "3 0.025 150 1200 77\n"
-                         "3 0.025 150 1200 77 oops\n"
-                         "3 0.025 150 1200 77 9.125\n")
+        # a line that is not text, blank, comment, 5- and 7-field lines and a
+        # non-numeric field come first and are skipped
+        cache.write_bytes(b"\xff garbage\n"
+                          b"# comment line\n"
+                          b"\n"
+                          b"   \t \n"
+                          b"3 0.025 150 1200 77 1.0 2.0\n"
+                          b"# 3 0.025 150 1200 77 1.0\n"
+                          b"3 0.025 150 1200 77\n"
+                          b"3 0.025 150 1200 77 oops\n"
+                          b"3 0.025 150 1200 77 9.125\n")
         cfg = BridgeConfig(grid_points=150, replications=1200, seed=77)
         assert critical_value(3, 0.025, cfg, cache_path=cache) == 9.125
         # a file whose only record has another key is a miss: simulate, then append

@@ -211,6 +211,13 @@ class TestBatchedSimulators:
             with pytest.raises(ValueError, match="NaN or infinite"):
                 simulate(spec, 50, 1)
 
+    @pytest.mark.parametrize("seed", [1, [1, 2]], ids=["int", "list"])
+    def test_non_finite_path_names_the_simulated_paths(self, seed):
+        # one rule for both seed forms: the message names the simulation, not a
+        # series the caller never passed
+        with pytest.raises(ValueError, match="simulated paths must be finite"):
+            simulate(ModelSpec.garch11(1e308, 0.1, 0.2), 10, seed)
+
 
 class TestInPlaceSimulators:
     """Paths are written over their innovations, in one buffer row per seed."""
