@@ -22,12 +22,16 @@ _RESCALE = ("{} products of the series {} double precision; "
             "rescale the series (e.g. divide it by its standard deviation)")
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 _BLOCK_BYTES = 1 << 18  # bytes per row block of every blocked kernel; fits a per-core L2
+_MAX_BLOCK_ROWS = 8192  # OpenBLAS splits a dot product of over 10,000 terms across threads
 _REALS = (float, int, np.floating, np.integer)  # concrete types: numbers.Real costs 15x
 
 
 def _block_rows(width: int) -> int:
-    """Rows of ``width`` float64 values that fit in ``_BLOCK_BYTES``, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * width))
+    """Rows of ``width`` float64 values that fit in ``_BLOCK_BYTES``, at least one.
+
+    At most ``_MAX_BLOCK_ROWS``: a block's products then run on one BLAS thread, so
+    their rounding, and so every result, does not depend on the thread count."""
+    return min(_MAX_BLOCK_ROWS, max(1, _BLOCK_BYTES // (8 * width)))
 
 
 def _check_count(name: str, value, low: int = 0) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +25,30 @@ from .models import (DEFAULT_BURN_IN, ChangeSpec, Family, ModelSpec, simulate,
                      simulate_with_change)
 
 DEFAULT_CACHE = "cssm_critval_cache.txt"
+_PLAIN = b"0123456789+-.eE\n"  # every byte write_series writes
 
 
 def read_series(path) -> np.ndarray:
     """Parse a one-value-per-line text file into an array.
 
     Raises ValueError naming the file, and the offending 1-based line for
-    anything that is not a finite number.
+    anything that is not a finite number.  A file of only the bytes that
+    :func:`write_series` writes, ``0123456789+-.eE`` and newlines, is parsed
+    by one numpy C call.  Any other file, and one that call refuses, warns
+    about or reads a non-finite value from, is read line by line, which
+    words every error.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.count(b"\n") < len(raw) and not raw.translate(None, _PLAIN):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy only warns at unmatched data
+            try:
+                values = np.fromstring(raw, sep="\n")
+            except (ValueError, Warning):
+                values = None
+        if values is not None and np.isfinite(values).all():
+            return values
     # Text mode folds "\r\n" and "\r" into "\n"; split on "\n" alone, as
     # line iteration does (str.splitlines would also split on "\x0c" etc.).
     # "utf-8-sig" drops a leading byte-order mark, as some editors write one.

@@ -136,11 +136,13 @@ def _longrun_terms(values: np.ndarray, L: int,
     Returns the (h_n+1, L+1, L+1) term array, the unfloored estimate (the terms
     summed over displacements, divided by n) and the eigenvalue floor of that
     estimate that :func:`estimate_longrun_cov` documents.  ``A = P[:n-lag].T @
-    P[lag:]`` holds the y1 sums, added up over row blocks of P of ``_BLOCK_BYTES``:
+    P[lag:]`` holds the y1 sums, added up over the row blocks of :func:`_block_rows`:
     each block meets every lag while it is in cache, and for n up to one block
-    the sums are exactly the single products.  The y2 sums are ``A.T`` less
-    ``cut``, the rows ``i >= n-lag-k`` among the last L (strictly upper
-    triangular), for every lag from one gather of those rows and one product.
+    the sums are exactly the single products.  The autocovariances g are summed
+    over the same blocks, so no product is split across BLAS threads.  The y2
+    sums are ``A.T`` less ``cut``, the rows ``i >= n-lag-k`` among the last L
+    (strictly upper triangular), for every lag from one gather of those rows
+    and one product.
     Needs h_n + L < n.  Fourth-order products past the double range raise
     ValueError, not warnings, also when only their sum over displacements
     does; so does a floor that underflows for a nonzero series.
@@ -165,7 +167,12 @@ def _longrun_terms(values: np.ndarray, L: int,
                     A[lag] += P[i0:i1].T @ P[i0 + lag:i1 + lag]
         # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
         sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
-        g = np.array([values[:n - h] @ values[h:] for h in range(L + 1)]) / n
+        g = np.zeros(L + 1)
+        for h in range(L + 1):  # in the same row blocks, so no dot product is threaded
+            for i0 in range(0, n - h, rows):
+                i1 = min(i0 + rows, n - h)
+                g[h] += values[i0:i1] @ values[i0 + h:i1 + h]
+        g /= n
         terms = counts * (sums / kept - 2.0 * np.outer(g, g))
         raw = terms.sum(axis=0) / n
         if not np.isfinite(raw).all():

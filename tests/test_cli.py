@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cssm.cli import build_parser, main, read_series
 from cssm.critval import DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig, critical_value
@@ -70,6 +72,18 @@ def parse_outcome(parse, path):
         return str(exc)
 
 
+def bytes_outcome(parse, path):
+    """The parsed values' float64 bytes, or the message of the ValueError raised.
+
+    Warnings are errors: no warning may reach the user."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.array(parse(path), dtype=np.float64).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+
 class TestReadSeriesParity:
     """The bulk parser gives exactly what the per-line loop gives."""
 
@@ -109,6 +123,44 @@ class TestReadSeriesParity:
             assert isinstance(got, str) and want in got
         else:
             assert got == want
+
+    # each passes the byte gate for numpy's parser; the first seven fail there too
+    @pytest.mark.parametrize("raw,want", [
+        (b"1e\n2\n", "line 1: not a number"),
+        (b"1.2.3\n", "line 1: not a number"),
+        (b"5-3\n", "line 1: not a number"),
+        (b"+\n", "line 1: not a number"),
+        (b".\n", "line 1: not a number"),
+        (b"1e999\n", "line 1: non-finite"),
+        (b"\n\n2\n1e999\n", "line 4: non-finite"),
+        (b"1\n\n2\n", [1.0, 2.0]),
+        (b"\n1\n", [1.0]),
+        (b"1e-400\n", [0.0]),
+        (b"-0\n", [-0.0]),
+    ], ids=["bare-exponent", "two-points", "inner-minus", "bare-plus", "bare-point", "overflow",
+            "overflow-after-blanks", "blank-line", "leading-blank", "underflow", "negative-zero"])
+    def test_plain_bytes_same_outcome(self, tmp_path, raw, want):
+        f = tmp_path / "x.txt"
+        f.write_bytes(raw)
+        got = bytes_outcome(read_series, f)
+        assert got == bytes_outcome(read_series_reference, f)
+        if isinstance(want, str):
+            assert isinstance(got, str) and want in got
+        else:  # bytes, so the sign of -0.0 counts
+            assert got == np.array(want).tobytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.text(alphabet="0123456789+-.eE\n"),
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+                           st.text(alphabet="0123456789+-.eE", max_size=5))).map("\n".join)))
+    @example("\n\n")
+    @example("1e308\n1e309\n")
+    def test_plain_bytes_property(self, tmp_path, text):
+        f = tmp_path / "x.txt"
+        f.write_bytes(text.encode())
+        assert bytes_outcome(read_series, f) == bytes_outcome(read_series_reference, f)
 
     def test_simulated_file_is_bit_identical(self, tmp_path, capsys):
         f = tmp_path / "long.txt"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cssm
 from cssm.autocov import _block_rows
 from cssm.longrun import (
     CovMatrix,
@@ -311,6 +315,31 @@ class TestBlockedSumsMatchPerLagLoop:
         x = np.random.default_rng(n + L).standard_normal(n)
         for got, want in zip(_longrun_terms(x, L, h_n), longrun_terms_reference(x, L, h_n)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+class TestThreadCountInvariance:
+    """OpenBLAS splits a dot product of over 10,000 terms across its threads, and the
+    partial sums then round by thread count; the estimator's blocks stay below that."""
+
+    SCRIPT = (
+        "from cssm.longrun import estimate_longrun_cov\n"
+        "from cssm.models import ModelSpec, simulate\n"
+        "x = simulate(ModelSpec.garch11(0.1, 0.1, 0.8), 100000, seed=3).values\n"
+        "for n in (12000, 100000):\n"
+        "    for L in range(4):\n"
+        "        print(n, L, estimate_longrun_cov(x[:n], L).entries.tobytes().hex())\n"
+    )
+
+    def test_estimate_does_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(cssm.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = [subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                               text=True, check=True,
+                               env={**os.environ, "PYTHONPATH": path,
+                                    "OPENBLAS_NUM_THREADS": threads}).stdout.splitlines()
+                for threads in ("1", "2")]
+        assert len(outs[0]) == 8
+        assert outs[0] == outs[1]
 
 
 class TestBartlettLinear:
