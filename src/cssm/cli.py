@@ -9,6 +9,7 @@ through the exit status: 0 = no change detected, 1 = change detected,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -32,11 +33,11 @@ def read_series(path) -> np.ndarray:
     """Parse a one-value-per-line text file into an array.
 
     Raises ValueError naming the file, and the offending 1-based line for
-    anything that is not a finite number.  A file of only the bytes that
-    :func:`write_series` writes, ``0123456789+-.eE`` and newlines, is parsed
-    by one numpy C call.  Any other file, and one that call refuses, warns
-    about or reads a non-finite value from, is read line by line, which
-    words every error.
+    anything that is not a finite number.  The file is read once.  If its
+    bytes are only those :func:`write_series` writes, ``0123456789+-.eE`` and
+    newlines, one numpy C call parses them.  Any other file, and one that
+    call refuses, warns about or reads a non-finite value from, goes through
+    one loop over its lines, which words every error.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -49,33 +50,28 @@ def read_series(path) -> np.ndarray:
                 values = None
         if values is not None and np.isfinite(values).all():
             return values
-    # Text mode folds "\r\n" and "\r" into "\n"; split on "\n" alone, as
-    # line iteration does (str.splitlines would also split on "\x0c" etc.).
-    # "utf-8-sig" drops a leading byte-order mark, as some editors write one.
+    # Text mode's lines: drop a leading byte-order mark (some editors write one), fold
+    # "\r\n" and "\r" into "\n", split on "\n" alone (splitlines also splits at "\x0c").
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    data = [text for text in map(str.strip, lines) if text and text[0] != "#"]
-    try:
-        values = np.fromiter(map(float, data), np.float64, count=len(data))
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text or text[0] == "#":
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
-            if not np.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: non-finite value: {text!r}")
-    if not data:
+    values = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite value: {line!r}")
+        values.append(value)
+    if not values:
         raise ValueError(f"{path}: no data lines found")
-    return values
+    return np.array(values)
 
 
 def write_series(values: np.ndarray, stream) -> None:
@@ -159,7 +155,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_critval(args: argparse.Namespace) -> int:
-    print(format(_critical_value(args), ".17g"))
+    print(repr(_critical_value(args)))
     return 0
 
 

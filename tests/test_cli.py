@@ -1,3 +1,4 @@
+import builtins
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cssm.cli
 from cssm.cli import build_parser, main, read_series
 from cssm.critval import DEFAULT_ALPHA, DEFAULT_SEED, BridgeConfig, critical_value
 from cssm.cusum import cssm_test
@@ -63,6 +65,19 @@ class TestReadSeries:
         with pytest.raises(ValueError, match="no data"):
             read_series(f)
 
+    def test_file_failing_the_byte_gate_is_opened_once(self, tmp_path, monkeypatch):
+        f = tmp_path / "x.txt"
+        f.write_bytes(b"# h\r\n1.5\r\n")
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(args)
+            return builtins.open(*args, **kwargs)
+
+        monkeypatch.setattr(cssm.cli, "open", spy, raising=False)
+        np.testing.assert_array_equal(read_series(f), [1.5])
+        assert len(opened) == 1
+
 
 def parse_outcome(parse, path):
     """The parsed values as a list, or the message of the ValueError raised."""
@@ -108,10 +123,12 @@ class TestReadSeriesParity:
         (b"1\x00\n2\n", "line 1: not a number"),
         (b"1e400\n2\n", "line 1: non-finite"),
         (b"1.0\n\n# c\nx\n", "line 4: not a number"),
+        (b"\xef\xbb\xbf# c\r\n1.5\r\n\r\nx\r\n", "line 4: not a number"),
     ], ids=["crlf", "cr", "no-final-newline", "underscore-and-plus", "two-fields",
             "form-feed", "inf", "first-bad-line-wins", "no-data", "one-line-two-fields",
             "two-columns", "inline-comment", "header", "arabic-indic-digits", "blank-only",
-            "empty", "line-separator", "nul", "overflow", "skipped-lines-counted"])
+            "empty", "line-separator", "nul", "overflow", "skipped-lines-counted",
+            "bom-crlf-comment"])
     def test_same_outcome_as_per_line_loop(self, tmp_path, raw, want):
         f = tmp_path / "x.txt"
         f.write_bytes(raw)
@@ -161,6 +178,35 @@ class TestReadSeriesParity:
         f = tmp_path / "x.txt"
         f.write_bytes(text.encode())
         assert bytes_outcome(read_series, f) == bytes_outcome(read_series_reference, f)
+
+    # characters that float(), str.strip and the split on "\n" treat differently
+    _WIDE = ["0", "1", "7", "9", "+", "-", ".", "e", "E", "\n", "\r", "\r\n", " ", "\t", "#",
+             "_", "a", "n", "i", "f", "x", "\x0b", "\x0c", "\x1c", "\x85", "\u3000"]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.booleans(), st.lists(st.one_of(
+        st.sampled_from(_WIDE),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}\n".format))).map("".join))
+    @example(False, "1\x852\n")
+    def test_wide_text_property(self, tmp_path, bom, text):
+        f = tmp_path / "x.txt"
+        f.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+        assert bytes_outcome(read_series, f) == bytes_outcome(read_series_reference, f)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_byte_past_8k(self, tmp_path, bom):
+        # text mode decodes in 8 KB chunks, so the reference's position is the chunk's;
+        # read_series names the position in the whole file after any byte-order mark
+        body = b"1.5\n" * 3000 + b"\xff\n"
+        f = tmp_path / "x.txt"
+        f.write_bytes(bom + body)
+        with pytest.raises(UnicodeDecodeError) as ref:
+            read_series_reference(f)
+        with pytest.raises(ValueError) as got:
+            read_series(f)
+        assert str(got.value) == (f"{f}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                                  f"in position 12000: {ref.value.reason}")
 
     def test_simulated_file_is_bit_identical(self, tmp_path, capsys):
         f = tmp_path / "long.txt"
@@ -440,6 +486,9 @@ class TestCritvalCommand:
         code, out, _ = run_cli("critval", "--L", "1", "--alpha", "0.05", capsys=capsys)
         assert code == 0
         assert float(out.strip()) == 2.408
+
+    def test_prints_shortest_round_trip_text(self, capsys):
+        assert run_cli("critval", "--L", "1", capsys=capsys) == (0, "2.408\n", "")
 
     def test_table_entry_ignores_bridge_flags(self, no_bridges, capsys):
         # (L=1, alpha=0.05) needs no simulation, so --reps 10 is never checked
