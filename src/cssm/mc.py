@@ -1,9 +1,9 @@
 """Monte Carlo harness: empirical power and size of the change-point test.
 
 Scenarios bundle a (possibly degenerate) parameter change with the test
-settings; :func:`run_scenario` replicates it and tallies rejections,
-simulating its replications in fixed chunks with one seed per replication
-(so the tally does not depend on the chunk size), and
+settings; :func:`run_scenario` replicates it, in fixed chunks with one seed
+per replication, and keeps each one's statistic and change index (a record
+that does not depend on the chunk size, and that every tally reads), and
 :func:`run_table` runs one of the four study grids at the test's defaults
 (L = 1, ``DEFAULT_ALPHA``, ``DEFAULT_BETA``; a study at another beta builds
 ``Scenario(beta=...)``), with every break after observation n // 2:
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -72,21 +72,40 @@ class Scenario:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Tally of one scenario's replications.
+    """Each completed replication's statistic and change index, and the tallies read from them.
 
-    ``power`` is rejections over completed replications; replications that
-    failed numerically are excluded and counted in ``failures`` (expected
-    to be zero in practice).  ``mean_change_index`` averages the estimated
-    change location over rejecting replications only (NaN if none).
+    The arrays are read-only, in replication order, and left out of equality
+    and repr; a failed replication has no entry.  A rejection is ``statistic >=
+    critical_value``, as in the test, so another threshold needs no second run.
+    ``mean_change_index`` averages over rejecting replications (NaN if none).
     """
 
     scenario: Scenario
-    rejections: int
-    replications: int
-    failures: int
-    power: float
-    mean_change_index: float
+    critical_value: float
+    statistics: np.ndarray = field(compare=False, repr=False)
+    change_indices: np.ndarray = field(compare=False, repr=False)
     wall_time_s: float
+
+    @property
+    def replications(self) -> int:
+        return self.statistics.size
+
+    @property
+    def failures(self) -> int:
+        return self.scenario.replications - self.replications
+
+    @property
+    def rejections(self) -> int:
+        return int(np.count_nonzero(self.statistics >= self.critical_value))
+
+    @property
+    def power(self) -> float:
+        return self.rejections / self.replications if self.replications else math.nan
+
+    @property
+    def mean_change_index(self) -> float:
+        locs = self.change_indices[self.statistics >= self.critical_value]
+        return float(np.mean(locs)) if locs.size else math.nan
 
 
 def rep_seed(base_seed: int, r: int) -> int:
@@ -123,7 +142,7 @@ def _each_row(call, rows):
 
 def run_scenario(scenario: Scenario, workers: int = 1, *,
                  critical_value: float | None = None) -> PowerReport:
-    """Replicate a scenario and tally rejections.
+    """Replicate a scenario and record each replication's statistic and change index.
 
     Replications run on the calling thread in chunks of ``_SIM_CHUNK``: one
     :func:`simulate_with_change` call simulates a chunk's paths, each from
@@ -132,8 +151,8 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
     chunk's or slice's replications are run one by one, and each that fails
     counts once.  A path and its test do not depend on the chunk or the
     slice, so the report is a pure function of the scenario.  The critical
-    value is resolved once up front from the built-in table unless
-    ``critical_value`` is given, and checked before any replication.
+    value, resolved once up front from the built-in table unless
+    ``critical_value`` is given and checked before any replication, is kept.
 
     ``workers`` is deprecated and ignored: a thread pool over the Python
     simulators only made runs slower.  Any value other than 1 raises a
@@ -148,7 +167,7 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
     test = partial(cssm_test, L=scenario.L, beta=scenario.beta, alpha=scenario.alpha,
                    critical_value=critical_value)
     start = time.perf_counter()
-    completed, reject_locs = 0, []
+    stats, locs = [], []
     reps = scenario.replications
     for first in range(1, reps + 1, _SIM_CHUNK):
         seeds = [rep_seed(scenario.seed, r)
@@ -156,21 +175,14 @@ def run_scenario(scenario: Scenario, workers: int = 1, *,
         paths = _each_row(simulate, seeds)
         for row in range(0, len(paths), _CHUNK):
             results = _each_row(test, paths[row:row + _CHUNK])
-            completed += len(results)
-            reject_locs += [result.change_index for result in results if result.reject]
+            stats += [result.statistic for result in results]
+            locs += [result.change_index for result in results]
         paths = results = None  # free this chunk's arrays before the next is simulated
 
-    rejections = len(reject_locs)
-    mean_loc = float(np.mean(reject_locs)) if reject_locs else math.nan
-    return PowerReport(
-        scenario=scenario,
-        rejections=rejections,
-        replications=completed,
-        failures=reps - completed,
-        power=rejections / completed if completed else math.nan,
-        mean_change_index=mean_loc,
-        wall_time_s=time.perf_counter() - start,
-    )
+    record = np.array(stats, np.float64), np.array(locs, np.int64)
+    for arr in record:
+        arr.setflags(write=False)
+    return PowerReport(scenario, critical_value, *record, time.perf_counter() - start)
 
 
 _ARMA = ModelSpec.arma11(phi=0.2, theta=0.1)

@@ -8,6 +8,7 @@ paths they are used to check.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -147,22 +148,29 @@ def read_series_reference(path) -> list[float]:
     """Per-line parse of a one-value-per-line file, raising on the first bad line.
 
     Blank lines and lines starting with '#' (after stripping) are skipped;
-    lines are what text-mode iteration yields, after a leading byte-order
-    mark is dropped.
+    lines are the universal-newline lines that text-mode iteration yields,
+    after a leading byte-order mark is dropped.  The whole file is decoded
+    before any line is read, so a file that is not UTF-8 text fails as such,
+    at its position in the whole file, whatever its lines hold.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        decoded = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     values = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: non-finite value: {text!r}")
-            values.append(value)
+    for lineno, line in enumerate(io.StringIO(decoded, newline=None), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite value: {text!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no data lines found")
     return values

@@ -161,6 +161,53 @@ class TestRunScenario:
             run_scenario(arma_scenario(reps=20), critical_value=c)
 
 
+class TestReportRecord:
+    """A report keeps each replication's statistic and change index and reads its tallies."""
+
+    def test_fields_are_the_record(self):
+        assert [f.name for f in dataclasses.fields(PowerReport)] == [
+            "scenario", "critical_value", "statistics", "change_indices", "wall_time_s"]
+
+    @pytest.mark.parametrize("c", [2.408, 2.50840])
+    def test_a_threshold_read_from_statistics_equals_a_second_run(self, c):
+        scenario = table_scenarios("T1", 200, 12345)[0]
+        rep, again = run_scenario(scenario), run_scenario(scenario, critical_value=c)
+        rejected = rep.statistics >= c
+        assert int(rejected.sum()) == again.rejections
+        assert float(np.mean(rep.change_indices[rejected])) == again.mean_change_index
+        assert again.statistics.tobytes() == rep.statistics.tobytes()
+
+    def test_entries_are_the_statistics_of_each_replication_in_order(self):
+        scenario = arma_scenario(reps=70)
+        rep = run_scenario(scenario)
+        assert (rep.statistics.dtype, rep.change_indices.dtype) == (np.float64, np.int64)
+        assert rep.statistics.shape == rep.change_indices.shape == (70,)
+        for r in range(1, 6):
+            path = mc.simulate_with_change(scenario.change, scenario.n, rep_seed(scenario.seed, r))
+            res = cssm_test(path, scenario.L, critical_value=rep.critical_value)
+            assert (rep.statistics[r - 1], rep.change_indices[r - 1]) \
+                == (res.statistic, res.change_index)
+
+    def test_tallies_read_the_record(self):
+        rep = run_scenario(arma_scenario(reps=70, after=ModelSpec.arma11(0.6, 0.7)))
+        rejected = rep.statistics >= rep.critical_value
+        assert rep.critical_value == 2.408
+        assert (rep.replications, rep.failures) == (70, 0)
+        assert rep.rejections == int(rejected.sum())
+        assert rep.power == rep.rejections / 70
+        assert rep.mean_change_index == float(np.mean(rep.change_indices[rejected]))
+
+    def test_arrays_are_read_only_and_left_out_of_eq_and_repr(self):
+        a = run_scenario(arma_scenario(reps=10))
+        b = run_scenario(arma_scenario(reps=10))
+        for arr in (a.statistics, a.change_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert a == dataclasses.replace(b, wall_time_s=a.wall_time_s)
+        assert (a == b) is (a.wall_time_s == b.wall_time_s)
+        assert "statistics" not in repr(a) and "change_indices" not in repr(a)
+
+
 def _one_cell_per_family(reps: int) -> dict[str, Scenario]:
     ma2 = ChangeSpec(150, ModelSpec.ma2(0.1, 0.2), ModelSpec.ma2(0.5, 0.4))
     return {
@@ -238,6 +285,16 @@ class TestChunkedRunScenario:
         # the first chunk fails as a whole and is re-tested row by row
         assert calls == [mc._CHUNK] + [1] * mc._CHUNK + [70 - mc._CHUNK]
         assert (rep.failures, rep.replications) == (1, 69)
+
+    def test_failed_test_leaves_no_entry(self, monkeypatch):
+        scenario = arma_scenario(reps=70)
+        whole = run_scenario(scenario)
+        self._fail_on_row(monkeypatch, scenario, 37)
+        rep = run_scenario(scenario)
+        assert rep.statistics.size == rep.change_indices.size == 69
+        kept = np.arange(70) != 36
+        assert rep.statistics.tobytes() == whole.statistics[kept].tobytes()
+        assert rep.change_indices.tobytes() == whole.change_indices[kept].tobytes()
 
     def test_failed_test_leaves_the_other_rows_of_its_chunk_alone(self, monkeypatch):
         scenario = arma_scenario(reps=70, after=ModelSpec.arma11(0.6, 0.7))
