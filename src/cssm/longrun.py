@@ -155,8 +155,12 @@ def _longrun_terms(values: np.ndarray, L: int,
             P[:n - h, h] = values[:n - h] * values[h:]
         cut = P[n - L:].T @ (P[last] * edge)
         A = np.empty((h_n + 1, L + 1, L + 1))
+        g = np.zeros(L + 1)
         rows = _block_rows(L + 1)  # of P
         for i0 in range(0, n, rows):  # every lag of one row block while it is in cache
+            for h in range(L + 1):  # g in the same blocks, so no dot product is threaded
+                if (i1 := min(i0 + rows, n - h)) > i0:
+                    g[h] += values[i0:i1] @ values[i0 + h:i1 + h]
             for lag in range(h_n + 1):
                 i1 = min(i0 + rows, n - lag)
                 if i1 <= i0:  # and for every larger lag
@@ -167,11 +171,6 @@ def _longrun_terms(values: np.ndarray, L: int,
                     A[lag] += P[i0:i1].T @ P[i0 + lag:i1 + lag]
         # exactly symmetric; at lag 0, where y1 = y2, it is twice the sum
         sums = A + A.transpose(0, 2, 1) - cut - cut.transpose(0, 2, 1)
-        g = np.zeros(L + 1)
-        for h in range(L + 1):  # in the same row blocks, so no dot product is threaded
-            for i0 in range(0, n - h, rows):
-                i1 = min(i0 + rows, n - h)
-                g[h] += values[i0:i1] @ values[i0 + h:i1 + h]
         g /= n
         terms = counts * (sums / kept - 2.0 * np.outer(g, g))
         raw = terms.sum(axis=0) / n

@@ -146,7 +146,8 @@ def _steps(z: np.ndarray) -> tuple[memoryview | np.ndarray, Callable]:
 def _sim_arma11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     phi, theta = params.T
     z = _innovations(seeds, len(params), pad=1)
-    z[1:] += theta[:, None] * z[:-1]  # the drive e_t + theta_t e_{t-1}
+    for row in z.T:  # the drive e_t + theta_t e_{t-1}, over the buffer's contiguous rows
+        row[1:] += theta * row[:-1]
     x, _ = _steps(z[1:])
     prev = 0.0
     for t, phi_t in enumerate(phi.tolist()):

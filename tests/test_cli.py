@@ -142,9 +142,10 @@ class TestReadSeriesParity:
         else:
             assert got == want
 
-    # each passes the byte gate for numpy's parser; the first seven fail there too
+    # each passes the byte gate for numpy's parser; the first eight fail there too
     @pytest.mark.parametrize("raw,want", [
         (b"1e\n2\n", "line 1: not a number"),
+        (b"1.5\n1e\n", "line 2: not a number"),
         (b"1.2.3\n", "line 1: not a number"),
         (b"5-3\n", "line 1: not a number"),
         (b"+\n", "line 1: not a number"),
@@ -155,8 +156,9 @@ class TestReadSeriesParity:
         (b"\n1\n", [1.0]),
         (b"1e-400\n", [0.0]),
         (b"-0\n", [-0.0]),
-    ], ids=["bare-exponent", "two-points", "inner-minus", "bare-plus", "bare-point", "overflow",
-            "overflow-after-blanks", "blank-line", "leading-blank", "underflow", "negative-zero"])
+    ], ids=["bare-exponent", "bare-exponent-on-line-2", "two-points", "inner-minus", "bare-plus",
+            "bare-point", "overflow", "overflow-after-blanks", "blank-line", "leading-blank",
+            "underflow", "negative-zero"])
     def test_plain_bytes_same_outcome(self, tmp_path, raw, want):
         f = tmp_path / "x.txt"
         f.write_bytes(raw)
@@ -451,15 +453,18 @@ class TestDetect:
         assert float(body[0][2]) == res.critical_value
 
     def test_tiny_scale_file_matches_unscaled(self, tmp_path, capsys):
+        # the same report across the double range, and no warning on the way
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
         reports = []
-        for name, scale in (("unscaled.txt", 1.0), ("tiny.txt", 1e-90)):
-            f = tmp_path / name
+        for scale in (1.0, 1e-90, 1e200, 1e-200, 3e300, 5e-300):
+            f = tmp_path / f"x{scale}.txt"
             f.write_text("\n".join(format(v, ".17g") for v in scale * x))
-            code, out, _ = run_cli("detect", str(f), "--L", "1", capsys=capsys)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run_cli("detect", str(f), "--L", "1", capsys=capsys)
             fields = dict(line.split(": ") for line in out.splitlines())
             reports.append((code, fields["statistic"], fields["change_index"]))
-        assert reports[0] == reports[1]
+        assert reports == [reports[0]] * 6
         assert float(reports[0][1]) > 0.0
 
     @pytest.mark.parametrize("flag", ["--out", "--path-out"])
@@ -499,10 +504,24 @@ class TestCritvalCommand:
         assert float(out) == 2.408
 
     def test_off_table_still_checks_bridge_flags(self, tmp_path, capsys):
-        code, out, err = run_cli("critval", "--L", "2", "--reps", "10",
-                                 "--cache", str(tmp_path / "cache.txt"), capsys=capsys)
-        assert (code, out) == (2, "")
-        assert "replications must be >= 1000, got 10" in err
+        # an impossible count fails at once, before any batch is simulated
+        cache = tmp_path / "cache.txt"
+        for reps, message in (("10", "replications must be >= 1000, got 10"),
+                              (str(10**30), "replications must fit in memory")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli("critval", "--L", "2", "--reps", reps,
+                                         "--cache", str(cache), capsys=capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and message in err
+            assert not cache.exists()
+
+    def test_simulated_value_is_pinned(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_cli("critval", "--L", "2", "--alpha", "0.01", "--reps", "2000", "--seed", "7",
+                          "--cache", str(tmp_path / "cache.txt"), capsys=capsys)
+        assert got == (0, "4.1203916507230804\n", "")
 
     def test_simulated_value_cached(self, tmp_path, capsys):
         cache = tmp_path / "cache.txt"

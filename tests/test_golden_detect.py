@@ -9,6 +9,7 @@ change of output is intended, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden_detect.py`` and list each changed row.
 """
 
+import warnings
 from pathlib import Path
 
 from cssm.cli import main
@@ -57,10 +58,12 @@ def test_detect_outputs_match_the_golden_file():
 
 def test_cli_detect_prints_the_golden_garch_row(tmp_path, capsys):
     path = tmp_path / "g.txt"
-    assert main(["simulate", "--family", "garch11", "--params", "0.5,0.1,0.2", "--n", str(N),
-                 "--seed", "1007", "--change-at", str(CHANGE_AT),
-                 "--params-after", "0.8,0.1,0.5", "--out", str(path)]) == 0
-    assert main(["detect", str(path), "--L", "1"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning across the estimator's row blocks
+        assert main(["simulate", "--family", "garch11", "--params", "0.5,0.1,0.2",
+                     "--n", str(N), "--seed", "1007", "--change-at", str(CHANGE_AT),
+                     "--params-after", "0.8,0.1,0.5", "--out", str(path)]) == 0
+        assert main(["detect", str(path), "--L", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     row, = (line.split(",") for line in GOLDEN.read_text(encoding="ascii").splitlines()
             if line.startswith("garch11,1,1007,1,"))

@@ -291,7 +291,9 @@ class TestBlockedSumsMatchPerLagLoop:
 
     Up to one block of rows the kernel makes exactly the loop's calls.  Past
     it the partial sums round differently; at 3 blocks + 5 rows the last
-    block is shorter than the larger lags, which skip it.
+    block is shorter than the larger lags, which skip it.  At one block of 4
+    columns + 2 rows and L = 3 the last block starts inside the last L rows, so
+    the lags from 2 up skip it, those of g as well as those of the y1 sums.
     """
 
     @pytest.mark.parametrize("L", [0, 1, 3])
@@ -309,12 +311,12 @@ class TestBlockedSumsMatchPerLagLoop:
 
     @pytest.mark.parametrize("L", [0, 1, 3])
     def test_several_blocks_agree_to_rounding(self, L):
-        n = 3 * _block_rows(L + 1) + 5
-        h_n = truncation_lag(n, 0.3)
-        assert h_n > 5  # the lags above 5 skip the last block
-        x = np.random.default_rng(n + L).standard_normal(n)
-        for got, want in zip(_longrun_terms(x, L, h_n), longrun_terms_reference(x, L, h_n)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        for n in (3 * _block_rows(L + 1) + 5, _block_rows(4) + 2):
+            h_n = truncation_lag(n, 0.3)
+            assert h_n > 5  # so some lags skip the last block
+            x = np.random.default_rng(n + L).standard_normal(n)
+            for got, want in zip(_longrun_terms(x, L, h_n), longrun_terms_reference(x, L, h_n)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestThreadCountInvariance:

@@ -232,7 +232,7 @@ class TestInPlaceSimulators:
             assert row.tobytes() == simulate_with_change(cs, 300, seed).values.tobytes()
 
     @pytest.mark.parametrize("family", ["arma11", "garch11"])
-    def test_stack_peaks_below_two_and_a_half_buffers(self, family):
+    def test_stack_peaks_below_one_and_three_quarter_buffers(self, family):
         # numpy reports its buffers to tracemalloc; the buffer is (burn_in + n) doubles a seed
         R, n = 256, 1000
         tracemalloc.start()
@@ -241,7 +241,7 @@ class TestInPlaceSimulators:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * (DEFAULT_BURN_IN + n) * R * 8
+        assert peak < 1.75 * (DEFAULT_BURN_IN + n) * R * 8
 
 
 class TestStationaryMoments:
