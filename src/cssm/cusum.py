@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import critval as _critval
-from .autocov import (_TINY, _as_stack, _check_count, _check_real, _checked_array,
-                      _prefix_autocovs)
+from .autocov import (_TINY, _as_stack, _block_rows, _check_count, _check_real,
+                      _checked_array, _prefix_autocovs)
 from .critval import DEFAULT_ALPHA
 from .longrun import DEFAULT_BETA, CovMatrix, estimate_longrun_cov
 
@@ -105,7 +105,12 @@ def cusum_path(x, C, L: int) -> CusumPath:
         prefix = _prefix_autocovs(values, L)
         diff = prefix[:, :-1]
         diff -= prefix[:, -1:]  # in place: each prefix less the full sample
-        weighted = diff @ root  # a 2-D root serves every row, a stack pairs with its row
+        # a 2-D root serves every row, a stack pairs with its row; in row blocks, so each
+        # product runs on one BLAS thread and no idle OpenBLAS worker spins after it
+        weighted = np.empty(diff.shape)
+        rows = _block_rows(L + 1)
+        for i in range(0, diff.shape[1], rows):
+            np.matmul(diff[:, i:i + rows], root, out=weighted[:, i:i + rows])
         path = np.einsum("rij,rij->ri", weighted, weighted)
         k = np.arange(L + 1, n, dtype=np.float64)
         path *= k * k / n

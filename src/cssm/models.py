@@ -156,11 +156,13 @@ def _sim_arma11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
 
 
 def _sim_ma2(params: np.ndarray, seeds: list[int]) -> np.ndarray:
-    theta1, theta2 = params.T[:, :, None]
+    theta1, theta2 = params.T
     z = _innovations(seeds, len(params), pad=2)
-    out = z[2:] + theta1 * z[1:-1]
-    out += theta2 * z[:-2]
-    return out
+    for row in z.T:  # e_t + theta1_t e_{t-1}, then + theta2_t e_{t-2}, over contiguous rows
+        lag2 = theta2 * row[:-2]
+        row[2:] += theta1 * row[1:-1]
+        row[2:] += lag2
+    return z[2:]
 
 
 def _sim_product2dep(params: np.ndarray, seeds: list[int]) -> np.ndarray:
@@ -170,9 +172,11 @@ def _sim_product2dep(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     z = _innovations(seeds, len(mu))
     z *= sigma
     z += mu
-    out = z[2:] * z[1:-1]
-    out *= z[:-2]
-    return out
+    for row in z.T:  # z_t z_{t-1}, then times z_{t-2}, over contiguous rows
+        lag2 = row[:-2].copy()
+        row[2:] *= row[1:-1]  # numpy reads an overlapping operand from a copy
+        row[2:] *= lag2
+    return z[2:]
 
 
 def _sim_garch11(params: np.ndarray, seeds: list[int]) -> np.ndarray:

@@ -303,13 +303,6 @@ class TestDetect:
         assert code == 2
         assert "line 3" in err
 
-    def test_insufficient_data_exits_2_naming_minimum(self, tmp_path, capsys):
-        f = tmp_path / "tiny.txt"
-        f.write_text("1.0\n-1.0\n")
-        code, _, err = run_cli("detect", str(f), "--L", "1", capsys=capsys)
-        assert code == 2
-        assert "minimum usable n" in err
-
     @pytest.mark.parametrize("argv", [f"--L {10**400}", f"--L {10**18} --beta 0.49",
                                       f"--L {10**700} --beta 0.49"])
     def test_absurd_L_exits_2_naming_minimum(self, tmp_path, argv, capsys):
@@ -358,15 +351,16 @@ class TestDetect:
 
     def test_short_series_fails_before_critical_value(self, tmp_path, capsys):
         # (L=2, alpha=0.05) is not built in; bad data must fail before the
-        # bridge simulation that would resolve it and fill the cache
+        # bridge simulation that would resolve it and fill the cache.  L=1 is built in
         f = tmp_path / "short.txt"
-        f.write_text("1.0\n-1.0\n0.5\n")
         cache = tmp_path / "cache.txt"
-        code, _, err = run_cli("detect", str(f), "--L", "2", "--cache", str(cache),
-                               capsys=capsys)
-        assert code == 2
-        assert "minimum usable n" in err
-        assert not cache.exists()
+        for L, text in (("2", "1.0\n-1.0\n0.5\n"), ("1", "1.0\n-1.0\n")):
+            f.write_text(text)
+            code, _, err = run_cli("detect", str(f), "--L", L, "--cache", str(cache),
+                                   capsys=capsys)
+            assert code == 2
+            assert "minimum usable n" in err
+            assert not cache.exists()
 
     def test_alpha_resolved_by_simulation(self, tmp_path, capsys):
         # off the built-in table the command simulates the threshold and caches it
@@ -523,16 +517,23 @@ class TestCritvalCommand:
                           "--cache", str(tmp_path / "cache.txt"), capsys=capsys)
         assert got == (0, "4.1203916507230804\n", "")
 
-    def test_simulated_value_cached(self, tmp_path, capsys):
-        cache = tmp_path / "cache.txt"
+    def test_simulated_value_cached(self, tmp_path, monkeypatch, capsys):
+        # with --cache, and without it in the default file of the working directory
+        monkeypatch.chdir(tmp_path)
         args = ["critval", "--L", "0", "--alpha", "0.1", "--grid", "120",
-                "--reps", "1500", "--seed", "5", "--cache", str(cache)]
-        code, out, _ = run_cli(*args, capsys=capsys)
-        assert code == 0
+                "--reps", "1500", "--seed", "5"]
         want = critical_value(0, 0.1, BridgeConfig(120, 1500, 5))
-        assert float(out.strip()) == want
-        assert cache.exists()
-        assert len(cache.read_text().strip().splitlines()) == 1
+        for flags, cache in ((["--cache", "cache.txt"], tmp_path / "cache.txt"),
+                             ([], tmp_path / "cssm_critval_cache.txt")):
+            code, out, _ = run_cli(*args, *flags, capsys=capsys)
+            assert code == 0
+            assert float(out.strip()) == want
+            assert cache.exists()
+            record = cache.read_text()
+            assert len(record.strip().splitlines()) == 1
+            # a second run reads the record back and appends nothing
+            assert run_cli(*args, *flags, capsys=capsys) == (0, out, "")
+            assert cache.read_text() == record
 
     @pytest.mark.parametrize("record", ["nan", "-3"])
     def test_bad_cache_record_exits_2(self, tmp_path, capsys, record):

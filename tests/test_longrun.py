@@ -145,35 +145,6 @@ class TestSigmaBar:
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
-class TestThetaBar:
-    """The paper's theta_bar_{h,k}, read as entries of the estimated matrix."""
-
-    def test_zero_series(self):
-        # all raw entries are zero, so only the all-zero series' floor remains
-        assert not longrun_matrix_reference([0.0] * 20, 2).any()
-        cov = estimate_longrun_cov([0.0] * 20, 2)
-        np.testing.assert_allclose(cov.entries, 1e-12 * np.eye(3), rtol=1e-12)
-
-    def test_symmetric_in_lags(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(60)
-        cov = estimate_longrun_cov(x, 2)
-        assert cov.entries[0, 1] == cov.entries[1, 0]
-        assert cov.entries[0, 2] == cov.entries[2, 0]
-        raw = longrun_matrix_reference(x, 2)
-        assert np.linalg.eigvalsh(raw)[0] > cov.eps_floor
-        np.testing.assert_allclose(cov.entries, raw, rtol=0, atol=1e-9 * np.abs(x).max() ** 4)
-
-    def test_ma1_converges_to_closed_form(self):
-        # c_00 for theta=0.5, sigma=1 is 2(1 + 4 theta^2 + theta^4) = 4.125
-        x = simulate(ModelSpec.ma2(0.5, 0.0), 20000, seed=1000)
-        assert estimate_longrun_cov(x, 0).entries[0, 0] == pytest.approx(4.125, rel=0.10)
-
-    def test_insufficient_data(self):
-        with pytest.raises(ValueError, match="insufficient"):
-            estimate_longrun_cov([1.0, 2.0, 3.0], 2)
-
-
 class TestEstimateLongrunCov:
     def test_iid_gaussian_matches_diag_2_1(self):
         x = simulate(ModelSpec.ma2(0.0, 0.0), 20000, seed=101)
@@ -181,6 +152,11 @@ class TestEstimateLongrunCov:
         assert abs(got[0, 0] - 2.0) <= 0.3
         assert abs(got[1, 1] - 1.0) <= 0.15
         assert abs(got[0, 1]) <= 0.15
+
+    def test_ma1_converges_to_closed_form(self):
+        # c_00 for theta=0.5, sigma=1 is 2(1 + 4 theta^2 + theta^4) = 4.125
+        x = simulate(ModelSpec.ma2(0.5, 0.0), 20000, seed=1000)
+        assert estimate_longrun_cov(x, 0).entries[0, 0] == pytest.approx(4.125, rel=0.10)
 
     def test_always_positive_definite(self):
         rng = np.random.default_rng(17)
@@ -190,9 +166,13 @@ class TestEstimateLongrunCov:
             assert np.linalg.eigvalsh(cov.entries)[0] >= cov.eps_floor * (1 - 1e-9)
 
     def test_zero_series_gives_floor_identity(self):
-        cov = estimate_longrun_cov([0.0] * 50, 1)
-        assert cov.eps_floor == 1e-12
-        np.testing.assert_allclose(cov.entries, 1e-12 * np.eye(2), rtol=1e-12)
+        # all raw entries are zero, so only the all-zero series' floor remains
+        for L, n in ((1, 50), (2, 20)):
+            assert not longrun_matrix_reference([0.0] * n, L).any()
+            cov = estimate_longrun_cov([0.0] * n, L)
+            assert cov.eps_floor == 1e-12
+            np.testing.assert_allclose(cov.entries, 1e-12 * np.eye(L + 1), rtol=1e-12)
+            assert np.linalg.eigvalsh(cov.entries)[0] > 0.0
 
     @pytest.mark.parametrize("scale", [1e-76, 1e-80, 1e-90, 1e-150, 1e-300])
     def test_underflowing_scale_raises(self, scale):
@@ -203,30 +183,19 @@ class TestEstimateLongrunCov:
             with pytest.raises(ValueError, match="underflow.*rescale"):
                 estimate_longrun_cov(scale * x, L)
 
-    def test_theta_bar_and_sigma_bar_raise_where_the_matrix_underflows(self):
-        # one guard for the matrix and its sigma_bar terms: no silent 0.0 or
-        # subnormal entries
+    def test_smallest_normal_floor_still_works(self):
+        # one guard for the matrix and its sigma_bar terms: sigma_bar raises where the
+        # matrix underflows (test_underflowing_scale_raises), and both scale at 1e-74
         x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
         for scale in (1e-80, 1e-90):
             with pytest.raises(ValueError, match="underflow.*rescale"):
-                estimate_longrun_cov(scale * x, 1)
-            with pytest.raises(ValueError, match="underflow.*rescale"):
                 sigma_bar(scale * x, 0, 1, 2)
-        assert estimate_longrun_cov(1e-74 * x, 1).entries[0, 1] == pytest.approx(
-            1e-296 * estimate_longrun_cov(x, 1).entries[0, 1], rel=1e-9)
-        assert sigma_bar(1e-74 * x, 0, 1, 2) == pytest.approx(1e-296 * sigma_bar(x, 0, 1, 2),
-                                                              rel=1e-9)
-
-    def test_smallest_normal_floor_still_works(self):
-        x = simulate(ModelSpec.arma11(0.2, 0.1), 600, seed=42).values
         base = estimate_longrun_cov(x, 1)
         cov = estimate_longrun_cov(1e-74 * x, 1)
         assert cov.eps_floor >= np.finfo(np.float64).tiny
         np.testing.assert_allclose(cov.entries, 1e-296 * base.entries, rtol=1e-9)
-
-    def test_zero_series_auto_floor_still_positive(self):
-        cov = estimate_longrun_cov([0.0] * 50, 1)
-        assert np.linalg.eigvalsh(cov.entries)[0] > 0.0
+        assert sigma_bar(1e-74 * x, 0, 1, 2) == pytest.approx(1e-296 * sigma_bar(x, 0, 1, 2),
+                                                              rel=1e-9, abs=0.0)
 
     def test_symmetry_is_exact(self):
         x = simulate(ModelSpec.arma11(0.3, 0.2), 400, seed=5)
@@ -234,21 +203,21 @@ class TestEstimateLongrunCov:
         assert np.array_equal(cov.entries, cov.entries.T)
 
     def test_insufficient_data_names_minimum(self):
-        with pytest.raises(ValueError, match="minimum usable n"):
+        with pytest.raises(ValueError, match="^insufficient data: .*minimum usable n"):
             estimate_longrun_cov([1.0, -1.0, 0.5], 2)
 
     def test_fewer_points_than_lags_names_minimum(self):
         with pytest.raises(ValueError, match=f"minimum usable n is {_min_usable_n(10, 0.3)}"):
             estimate_longrun_cov(np.ones(5), 10)
 
-    def test_matches_sum_of_theta_bars(self):
-        rng = np.random.default_rng(23)
-        x = rng.standard_normal(300)
-        cov = estimate_longrun_cov(x, 1)
-        raw = longrun_matrix_reference(x, 1)
+    def test_well_conditioned_matrix_is_the_raw_loop_sum(self):
         # raw entries survive regularization when well-conditioned
-        assert np.linalg.eigvalsh(raw)[0] > cov.eps_floor
-        np.testing.assert_allclose(cov.entries, raw, rtol=0, atol=1e-10)
+        for seed, n, L in ((23, 300, 1), (3, 60, 2)):
+            x = np.random.default_rng(seed).standard_normal(n)
+            cov = estimate_longrun_cov(x, L)
+            raw = longrun_matrix_reference(x, L)
+            assert np.linalg.eigvalsh(raw)[0] > cov.eps_floor
+            np.testing.assert_allclose(cov.entries, raw, rtol=0, atol=1e-10)
 
 
 class TestEstimatorMatchesLoopOracle:
@@ -261,7 +230,7 @@ class TestEstimatorMatchesLoopOracle:
 
     @pytest.mark.parametrize("L", [0, 1, 2, 4])
     @pytest.mark.parametrize("at_minimum", [True, False])
-    def test_matrix_and_theta_bar_match_loops(self, L, at_minimum):
+    def test_matrix_and_raw_sums_match_loops(self, L, at_minimum):
         n = _min_usable_n(L, 0.3) if at_minimum else 60
         x = np.random.default_rng(1000 + 10 * L + n).standard_normal(n)
         raw = longrun_matrix_reference(x, L)
@@ -321,15 +290,21 @@ class TestBlockedSumsMatchPerLagLoop:
 
 class TestThreadCountInvariance:
     """OpenBLAS splits a dot product of over 10,000 terms across its threads, and the
-    partial sums then round by thread count; the estimator's blocks stay below that."""
+    partial sums then round by thread count; the estimator's blocks stay below that, and
+    the path is weighted in the same blocks."""
 
     SCRIPT = (
+        "import hashlib\n"
+        "from cssm.cusum import cusum_path\n"
         "from cssm.longrun import estimate_longrun_cov\n"
         "from cssm.models import ModelSpec, simulate\n"
         "x = simulate(ModelSpec.garch11(0.1, 0.1, 0.8), 100000, seed=3).values\n"
         "for n in (12000, 100000):\n"
         "    for L in range(4):\n"
         "        print(n, L, estimate_longrun_cov(x[:n], L).entries.tobytes().hex())\n"
+        "for L in range(4):\n"
+        "    path = cusum_path(x, estimate_longrun_cov(x, L), L).values\n"
+        "    print('path', L, hashlib.sha256(path).hexdigest())\n"
     )
 
     def test_estimate_does_not_depend_on_blas_threads(self):
@@ -340,7 +315,7 @@ class TestThreadCountInvariance:
                                env={**os.environ, "PYTHONPATH": path,
                                     "OPENBLAS_NUM_THREADS": threads}).stdout.splitlines()
                 for threads in ("1", "2")]
-        assert len(outs[0]) == 8
+        assert len(outs[0]) == 12
         assert outs[0] == outs[1]
 
 

@@ -103,11 +103,10 @@ class TestDeterminism:
         ],
         ids=lambda s: s.family.value,
     )
-    def test_same_seed_same_path(self, spec):
+    def test_another_seed_gives_another_path(self, spec):
+        # the same seed gives the same path: TestSimulatorOracles pins it to the scalar loop
         a = simulate(spec, 200, seed=99)
-        b = simulate(spec, 200, seed=99)
         assert len(a) == 200
-        assert np.array_equal(a.values, b.values)
         c = simulate(spec, 200, seed=100)
         assert not np.array_equal(a.values, c.values)
 
@@ -231,7 +230,7 @@ class TestInPlaceSimulators:
         for row, seed in zip(stack, seeds):
             assert row.tobytes() == simulate_with_change(cs, 300, seed).values.tobytes()
 
-    @pytest.mark.parametrize("family", ["arma11", "garch11"])
+    @pytest.mark.parametrize("family", list(BREAKS))
     def test_stack_peaks_below_one_and_three_quarter_buffers(self, family):
         # numpy reports its buffers to tracemalloc; the buffer is (burn_in + n) doubles a seed
         R, n = 256, 1000
