@@ -26,7 +26,8 @@ removes drift that lasts a whole session: compare raw ``wall_s`` only
 within one BENCH file, and ``nominal_s`` across files.  The file at the
 repository root holds, per tree: the git sha (``-dirty`` for uncommitted
 changes) and perfbench's digest of ``src/cssm``, Python and numpy
-versions, nproc, the line count of ``src/``, every run's metrics, their
+versions, nproc, the line count of ``src/``, every run's metrics (with
+the raw walls and host slowness of perfbench's detail line), their
 median, quartiles, min and max, the raw and host-scaled wall times of the
 study (with its total rejections, so equal outputs show) and of Tier-1,
 and, for the change, on how many seeds each end-to-end metric was better
@@ -88,7 +89,8 @@ def src_lines(tree: Path) -> int:
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its result line, the environment and the wall time."""
+    """One perfbench run: its result line, the wall time, and from its detail line the
+    environment, the raw (unscaled) walls and the host slowness they were scaled by."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
@@ -99,11 +101,12 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"perfbench {workload} seed {seed} in {tree} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    env = json.loads(lines[-2])["perfbench"]["env"]
+    detail = json.loads(lines[-2])["perfbench"]
     return {"seed": seed, "wall_s": wall, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "env": env}
+            "env": detail["env"], "wall": detail["wall"],
+            "host_slowness": detail["host_slowness"]}
 
 
 def host_slowness(tree: Path) -> float:

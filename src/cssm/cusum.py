@@ -82,7 +82,7 @@ def cusum_path(x, C, L: int) -> CusumPath:
     as a :class:`CovMatrix` for this L.  An (R, n) stack of series takes one
     matrix for all rows or a stack of R (one ``eigh``), and gives an (R, n-L-1)
     path whose row r is the path of row r, all weighted in one pass (about
-    (2L+3) R n doubles at peak).  Prefix autocovariances come from running sums:
+    (L+3) R n doubles at peak).  Prefix autocovariances come from running sums:
     O(n L) for the path plus O(n L^2) for the weighting.  Works in data units:
     a path past the double range (a series near max|x| = 1e154 or an
     ill-conditioned ``C``) raises ValueError, as does one that underflows while
@@ -99,21 +99,24 @@ def cusum_path(x, C, L: int) -> CusumPath:
     if n < L + 2:
         raise ValueError(f"need n >= L + 2 for a nonempty path, got n={n}, L={L}")
     root = inv_sqrt(C)
-    # the path and its k^2/n scale come after the temporaries: made first, they moved the
+    # the path and its k^2/n scale come after the prefix sums: made first, they moved the
     # page faults of large arrays made later in the process (seen on one long series)
     with np.errstate(over="ignore", invalid="ignore"):
         prefix = _prefix_autocovs(values, L)
         diff = prefix[:, :-1]
         diff -= prefix[:, -1:]  # in place: each prefix less the full sample
         # a 2-D root serves every row, a stack pairs with its row; in row blocks, so each
-        # product runs on one BLAS thread and no idle OpenBLAS worker spins after it
-        weighted = np.empty(diff.shape)
+        # product runs on one BLAS thread and no idle OpenBLAS worker spins after it, and
+        # each block is weighted and reduced into the path, so no full weighted copy exists
+        path = np.empty((R, n - L - 1))
         rows = _block_rows(L + 1)
-        for i in range(0, diff.shape[1], rows):
-            np.matmul(diff[:, i:i + rows], root, out=weighted[:, i:i + rows])
-        path = np.einsum("rij,rij->ri", weighted, weighted)
+        for i in range(0, n - L - 1, rows):
+            weighted = diff[:, i:i + rows] @ root
+            np.einsum("rij,rij->ri", weighted, weighted, out=path[:, i:i + rows])
         k = np.arange(L + 1, n, dtype=np.float64)
-        path *= k * k / n
+        k *= k
+        k /= n  # the two roundings of k * k / n, in place
+        path *= k
         top = path.max(axis=1)  # paths are >= 0, so any NaN or inf shows here
         if not (top < np.inf).all():
             raise ValueError("CUSUM path overflows; rescale the series or check C's conditioning")

@@ -116,7 +116,7 @@ def rep_seed(base_seed: int, r: int) -> int:
 # Replications simulated per simulate_with_change call, and tested per cssm_test
 # call.  Rows share each interpreted time step of a simulator: a GARCH replication
 # costs about 100 us at 256 rows against 215 us at 64 (ARMA: 64 against 97 us).  A
-# tested row adds about (2L+3)*n doubles to the CUSUM stage, which gains nothing past 64.
+# tested row adds about (L+3)*n doubles to the CUSUM stage, which gains nothing past 64.
 _SIM_CHUNK = 256
 _CHUNK = 64
 

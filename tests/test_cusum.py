@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,6 +146,22 @@ class TestCusumPath:
         C = np.array([[2.0, 0.3], [0.3, 1.0]])
         want = cusum_path(x, CovMatrix(C, L=1), 1).values
         assert cusum_path(x, C, 1).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("L", [0, 1, 3])
+    def test_peak_below_L_plus_4_series(self, L):
+        # the prefixes take L + 1 series and the path one; each row block is weighted and
+        # reduced into the path, so no full-length weighted copy or k^2/n temporary is held
+        n = 100_000
+        x = simulate(ModelSpec.garch11(0.5, 0.1, 0.2), n, 3).values
+        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])  # the scale cssm_test passes on
+        C = estimate_longrun_cov(x, L)
+        tracemalloc.start()
+        try:
+            cusum_path(x, C, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (L + 4) * n * 8
 
 
 class TestCssmTest:

@@ -230,17 +230,22 @@ class TestInPlaceSimulators:
         for row, seed in zip(stack, seeds):
             assert row.tobytes() == simulate_with_change(cs, 300, seed).values.tobytes()
 
-    @pytest.mark.parametrize("family", list(BREAKS))
-    def test_stack_peaks_below_one_and_three_quarter_buffers(self, family):
+    # a 256-seed stack at n = 1,000 stays below 1.75 buffers; one int seed at n = 10^5 below 6,
+    # as the (T, p) parameter table (p buffers) and the TimeSeries copy (one) come on top
+    @pytest.mark.parametrize("family, seed, n, bound", [
+        *(pytest.param(family, list(range(256)), 1000, 1.75, id=family) for family in BREAKS),
+        *(pytest.param(family, 0, 100_000, 6.0, id=f"{family}-one-seed")
+          for family in ("arma11", "garch11")),
+    ])
+    def test_stack_peaks_below_one_and_three_quarter_buffers(self, family, seed, n, bound):
         # numpy reports its buffers to tracemalloc; the buffer is (burn_in + n) doubles a seed
-        R, n = 256, 1000
         tracemalloc.start()
         try:
-            simulate(BREAKS[family][0], n, list(range(R)))
+            simulate(BREAKS[family][0], n, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * (DEFAULT_BURN_IN + n) * R * 8
+        assert peak < bound * (DEFAULT_BURN_IN + n) * np.size(seed) * 8
 
 
 class TestStationaryMoments:
