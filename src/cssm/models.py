@@ -23,6 +23,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -131,11 +132,11 @@ def _innovations(seeds: list[int], size: int, pad: int = 0) -> np.ndarray:
     return z.T
 
 
-# Each kernel maps a (T, p) parameter table (row t: step t's parameters) and R
-# seeds to a (T, R) array of paths.  ARMA and GARCH step time in one Python loop
-# over the rows of all R paths, each step overwriting the drive or innovation it
-# read; with one seed, over the floats of a 1-D view, about 10x faster per step.
-# Parameters are read through memoryviews, one float a step, so no (T,)-long list is made.
+# Each kernel maps the parameters before and after the break, the first post-break step b,
+# the step count T and R seeds to a (T, R) array of paths.  ARMA and GARCH step time in one
+# Python loop over the rows of all R paths, each step overwriting the drive or innovation it
+# read; with one seed, over the floats of a 1-D view, about 10x faster per step.  The drives
+# run their post-break slice first, as it reads innovations the pre-break slice overwrites.
 
 def _steps(z: np.ndarray) -> tuple[memoryview | np.ndarray, Callable]:
     """What a recursion steps over and overwrites in the (T, R) array ``z``, and its sqrt."""
@@ -144,35 +145,35 @@ def _steps(z: np.ndarray) -> tuple[memoryview | np.ndarray, Callable]:
     return z, np.sqrt
 
 
-def _sim_arma11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
-    phi, theta = params.T
-    z = _innovations(seeds, len(params), pad=1)
-    for row in z.T:  # the drive e_t + theta_t e_{t-1}, over the buffer's contiguous rows
-        row[1:] += theta * row[:-1]
+def _sim_arma11(before: tuple, after: tuple, b: int, T: int, seeds: list[int]) -> np.ndarray:
+    z = _innovations(seeds, T, pad=1)
+    for row in z.T:  # the drive e_t + theta e_{t-1}, over the buffer's contiguous rows
+        for (_, theta), x in ((after, row[b:]), (before, row[:b + 1])):
+            x[1:] += theta * x[:-1]
     x, _ = _steps(z[1:])
     prev = 0.0
-    for t, phi_t in enumerate(memoryview(phi)):
-        x[t] = prev = phi_t * prev + x[t]
+    for t, (phi, _) in enumerate(chain(repeat(before, b), repeat(after, T - b))):
+        x[t] = prev = phi * prev + x[t]
     return z[1:]
 
 
-def _sim_ma2(params: np.ndarray, seeds: list[int]) -> np.ndarray:
-    theta1, theta2 = params.T
-    z = _innovations(seeds, len(params), pad=2)
-    for row in z.T:  # e_t + theta1_t e_{t-1}, then + theta2_t e_{t-2}, over contiguous rows
-        lag2 = theta2 * row[:-2]
-        row[2:] += theta1 * row[1:-1]
-        row[2:] += lag2
+def _sim_ma2(before: tuple, after: tuple, b: int, T: int, seeds: list[int]) -> np.ndarray:
+    z = _innovations(seeds, T, pad=2)
+    for row in z.T:  # e_t + theta1 e_{t-1}, then + theta2 e_{t-2}, over contiguous rows
+        for (theta1, theta2), x in ((after, row[b:]), (before, row[:b + 2])):
+            lag2 = theta2 * x[:-2]
+            x[2:] += theta1 * x[1:-1]
+            x[2:] += lag2
     return z[2:]
 
 
-def _sim_product2dep(params: np.ndarray, seeds: list[int]) -> np.ndarray:
-    # Two pre-sample innovations feed the first product; they precede the
-    # break, so they always draw from the pre-break law of row 0.
-    mu, sigma = np.concatenate((params[:1], params[:1], params)).T[:, :, None]
-    z = _innovations(seeds, len(mu))
-    z *= sigma
-    z += mu
+def _sim_product2dep(before: tuple, after: tuple, b: int, T: int, seeds: list[int]) -> np.ndarray:
+    z = _innovations(seeds, T + 2)
+    # The two pre-sample innovations feed the first product and precede the
+    # break, so they draw from the pre-break law.
+    for (mu, sigma), x in ((before, z[:b + 2]), (after, z[b + 2:])):
+        x *= sigma
+        x += mu
     for row in z.T:  # z_t z_{t-1}, then times z_{t-2}, over contiguous rows
         lag2 = row[:-2].copy()
         row[2:] *= row[1:-1]  # numpy reads an overlapping operand from a copy
@@ -180,10 +181,10 @@ def _sim_product2dep(params: np.ndarray, seeds: list[int]) -> np.ndarray:
     return z[2:]
 
 
-def _sim_garch11(params: np.ndarray, seeds: list[int]) -> np.ndarray:
-    z = _innovations(seeds, len(params))
+def _sim_garch11(before: tuple, after: tuple, b: int, T: int, seeds: list[int]) -> np.ndarray:
+    z = _innovations(seeds, T)
     x, sqrt = _steps(z)
-    steps = enumerate(zip(*map(memoryview, params.T)))
+    steps = enumerate(chain(repeat(before, b), repeat(after, T - b)))
     # Start from the stationary variance of the pre-break parameters.
     _, (omega, alpha, beta) = next(steps)
     var = omega / (1.0 - alpha - beta)
@@ -210,12 +211,10 @@ def _simulate_pair(before: ModelSpec, after: ModelSpec, k_star: int, n: int,
     seeds = [_check_count("seed", s) for s in ([seed] if single else seed)]
     if not seeds:
         raise ValueError("seed must be an int or a non-empty 1-D sequence of ints")
-    # Row t holds step t's parameters; the first burn_in + k_star precede the break.
-    params = np.repeat([before.params, after.params],
-                       [burn_in + k_star, n - k_star], axis=0)
     # Overflow surfaces as a non-finite path, which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        paths = _FAMILIES[before.family][1](params, seeds)[burn_in:].T
+        paths = _FAMILIES[before.family][1](before.params, after.params, burn_in + k_star,
+                                            burn_in + n, seeds)[burn_in:].T
     paths = _checked_array(paths, "simulated paths", copy=False)
     paths.setflags(write=False)
     return TimeSeries(paths[0]) if single else paths
