@@ -28,12 +28,13 @@ repository root holds, per tree: the git sha (``-dirty`` for uncommitted
 changes) and perfbench's digest of ``src/cssm``, Python and numpy
 versions, nproc, the line count of ``src/``, every run's metrics (with
 the raw walls and host slowness of perfbench's detail line), their
-median, quartiles, min and max, the raw and host-scaled wall times of the
-study (with its total rejections, so equal outputs show) and of Tier-1,
-and, for the change, on how many seeds each end-to-end metric was better
-or worse than the base (direction from ``BENCHMARK.json``) and whether
-the median moved by more than the base's interquartile range.  Uses the
-standard library only.
+median, quartiles (from three runs on), min and max, the raw and
+host-scaled wall times of the study (with its total rejections, so
+equal outputs show) and of Tier-1, and, for the change, on how many
+seeds each end-to-end metric was better or worse than the base
+(direction from ``BENCHMARK.json``) and whether the median moved by
+more than the base's interquartile range.  Uses the standard library
+only.
 
 ``--quick`` is a smoke check of a change in progress, about a minute
 for two trees: one seed (the first of ``--seeds``), perfbench runs of
@@ -149,9 +150,11 @@ def power(tree: Path, out: Path) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                      else [values[0]] * 3)
-    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
+    """Median, quartiles, min and max.  The quartiles are ``None`` below three values, where
+    the exclusive method of ``statistics.quantiles`` extrapolates past min and max."""
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 2 else (None,) * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "min": min(values), "max": max(values)}
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -163,7 +166,8 @@ def summarize(runs: list[dict]) -> dict:
 
 def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
     """Per end-to-end metric: seeds on which the change was better, worse or equal,
-    and whether the medians differ by more than the base's interquartile range.
+    and whether the medians differ by more than the base's interquartile range (``None``
+    where the base has no quartiles).
 
     Only seeds where both runs report the metric count (a short run has no tail).
     """
@@ -181,7 +185,7 @@ def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dic
         med_b, med_c = base_spread["median"], statistics.median(c for _, c in pairs)
         tally["median_ratio"] = med_c / med_b if med_b else None
         tally["beyond_base_iqr"] = (abs(med_c - med_b) > base_spread["q3"] - base_spread["q1"]
-                                    if len(pairs) > 1 else None)
+                                    if base_spread["q1"] is not None else None)
         out[name] = tally
     return out
 

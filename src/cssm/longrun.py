@@ -159,13 +159,10 @@ def _longrun_terms(values: np.ndarray, L: int,
         rows = _block_rows(L + 1)  # of P
         for i0 in range(0, n, rows):  # every lag of one row block while it is in cache
             for h in range(L + 1):  # g in the same blocks, so no dot product is threaded
-                if (i1 := min(i0 + rows, n - h)) > i0:
-                    g[h] += values[i0:i1] @ values[i0 + h:i1 + h]
-            for lag in range(h_n + 1):
+                g[h] += values[i0:min(i0 + rows, n - h)] @ values[i0 + h:i0 + h + rows]
+            for lag in range(h_n + 1):  # a block past n - lag is empty and adds zeros
                 i1 = min(i0 + rows, n - lag)
-                if i1 <= i0:  # and for every larger lag
-                    break
-                if i0 == 0:
+                if i0 == 0:  # never empty, as h_n + L < n, so it writes A[lag] in place
                     np.matmul(P[:i1].T, P[lag:i1 + lag], out=A[lag])
                 else:
                     A[lag] += P[i0:i1].T @ P[i0 + lag:i1 + lag]

@@ -23,7 +23,6 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -132,11 +131,11 @@ def _innovations(seeds: list[int], size: int, pad: int = 0) -> np.ndarray:
     return z.T
 
 
-# Each kernel maps the parameters before and after the break, the first post-break step b,
-# the step count T and R seeds to a (T, R) array of paths.  ARMA and GARCH step time in one
-# Python loop over the rows of all R paths, each step overwriting the drive or innovation it
-# read; with one seed, over the floats of a 1-D view, about 10x faster per step.  The drives
-# run their post-break slice first, as it reads innovations the pre-break slice overwrites.
+# Each kernel maps the parameters before and after the break, the first post-break step b, the
+# step count T and R seeds to a (T, R) array of paths.  Each recursion runs steps 0..b-1 on
+# `before`, then b..T-1 on `after` (none if b = T).  ARMA and GARCH step in a Python loop over
+# all R paths' rows (one seed: a 1-D view's floats, 10x faster), overwriting what each step read;
+# the drives do the post-break slice first: it reads innovations the pre-break one overwrites.
 
 def _steps(z: np.ndarray) -> tuple[memoryview | np.ndarray, Callable]:
     """What a recursion steps over and overwrites in the (T, R) array ``z``, and its sqrt."""
@@ -152,8 +151,9 @@ def _sim_arma11(before: tuple, after: tuple, b: int, T: int, seeds: list[int]) -
             x[1:] += theta * x[:-1]
     x, _ = _steps(z[1:])
     prev = 0.0
-    for t, (phi, _) in enumerate(chain(repeat(before, b), repeat(after, T - b))):
-        x[t] = prev = phi * prev + x[t]
+    for (phi, _), steps in ((before, range(b)), (after, range(b, T))):
+        for t in steps:
+            x[t] = prev = phi * prev + x[t]
     return z[1:]
 
 
@@ -184,14 +184,14 @@ def _sim_product2dep(before: tuple, after: tuple, b: int, T: int, seeds: list[in
 def _sim_garch11(before: tuple, after: tuple, b: int, T: int, seeds: list[int]) -> np.ndarray:
     z = _innovations(seeds, T)
     x, sqrt = _steps(z)
-    steps = enumerate(chain(repeat(before, b), repeat(after, T - b)))
-    # Start from the stationary variance of the pre-break parameters.
-    _, (omega, alpha, beta) = next(steps)
+    # Step 0 starts from the stationary variance of the pre-break parameters.
+    omega, alpha, beta = before
     var = omega / (1.0 - alpha - beta)
     x[0] = prev = sqrt(var) * x[0]
-    for t, (omega, alpha, beta) in steps:
-        var = omega + alpha * prev * prev + beta * var
-        x[t] = prev = sqrt(var) * x[t]
+    for (omega, alpha, beta), steps in ((before, range(1, b)), (after, range(b, T))):
+        for t in steps:
+            var = omega + alpha * prev * prev + beta * var
+            x[t] = prev = sqrt(var) * x[t]
     return z
 
 
