@@ -27,6 +27,7 @@ from .models import (DEFAULT_BURN_IN, ChangeSpec, Family, ModelSpec, simulate,
 
 DEFAULT_CACHE = "cssm_critval_cache.txt"
 _PLAIN = b"0123456789+-.eE\n"  # every byte write_series writes
+_WRITE_BLOCK = 8192  # rows formatted and written per call; bounds the text held for any n
 
 
 def read_series(path) -> np.ndarray:
@@ -74,9 +75,25 @@ def read_series(path) -> np.ndarray:
     return np.array(values)
 
 
-def write_series(values: np.ndarray, stream) -> None:
-    for v in values:
-        stream.write(format(float(v), ".17g") + "\n")
+def _write_rows(stream, row: str, *columns: np.ndarray) -> None:
+    """Write ``row % (c[i] for c in columns)`` for every i, one ``%`` and one write per block."""
+    width = len(columns)
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = [c[start:start + _WRITE_BLOCK].tolist() for c in columns]
+        args = [None] * (len(block[0]) * width)
+        for j, col in enumerate(block):
+            args[j::width] = col
+        stream.write((row * len(block[0])) % tuple(args))
+
+
+def write_series(values, stream) -> None:
+    """Write a 1-D sequence of reals to a text stream, one ``.17g`` value per line.
+
+    The lines are those of ``format(float(v), ".17g") + "\\n"`` for each value,
+    so :func:`read_series` reads finite values back bit for bit.  Only files
+    of these bytes qualify for its one numpy C call.
+    """
+    _write_rows(stream, "%.17g\n", np.asarray(values, dtype=np.float64))
 
 
 def _parse_params(text: str) -> tuple[float, ...]:
@@ -120,9 +137,8 @@ def emit_path(path_obj, crit: float, out_path) -> None:
     """Write the CUSUM path as CSV rows (k, path value, critical value)."""
     with open(out_path, "w", encoding="ascii") as fh:
         fh.write("k,path_value,critical_value\n")
-        crit_text = format(crit, ".17g")
-        for i, value in enumerate(path_obj.values):
-            fh.write(f"{path_obj.k_min + i},{format(float(value), '.17g')},{crit_text}\n")
+        ks = np.arange(path_obj.k_min, path_obj.k_min + path_obj.values.size)
+        _write_rows(fh, "%%d,%%.17g,%.17g\n" % crit, ks, path_obj.values)  # crit formatted once
 
 
 def cmd_detect(args: argparse.Namespace) -> int:

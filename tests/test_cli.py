@@ -1,5 +1,8 @@
 import builtins
+import io
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +194,44 @@ class TestReadSeriesParity:
         got = read_series(f)
         assert got.dtype == np.float64 and got.shape == (100000,)
         assert got.tobytes() == np.array(read_series_reference(f)).tobytes()
+
+
+_BLOCK = cssm.cli._WRITE_BLOCK
+_EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-5, 1e16, 3.0, -7.0]
+
+
+class TestWriters:
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_bytes_match_per_value_format(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        floats = np.concatenate([_EDGES, rng.standard_normal(n)])[:n]
+        ints = rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64)
+        for values in (floats, floats.tolist(), ints):
+            buf = io.StringIO()
+            cssm.cli.write_series(values, buf)
+            assert buf.getvalue() == "".join(format(float(v), ".17g") + "\n" for v in values)
+
+        # emit_path's rows, in the per-row form of k, path value, critical value
+        path_obj = SimpleNamespace(values=np.abs(floats), k_min=2)
+        out = tmp_path / "path.csv"
+        cssm.cli.emit_path(path_obj, 2.408, out)
+        assert out.read_text() == "k,path_value,critical_value\n" + "".join(
+            f"{2 + i},{format(float(v), '.17g')},{format(2.408, '.17g')}\n"
+            for i, v in enumerate(path_obj.values))
+
+    def test_memory_stays_bounded(self):
+        class Discard:
+            def write(self, text):
+                pass
+
+        values = np.random.default_rng(0).standard_normal(10**6)
+        tracemalloc.start()
+        try:
+            cssm.cli.write_series(values, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # a whole-array tolist() would hold about 32 MB
 
 
 class TestSimulate:
